@@ -4,9 +4,9 @@ verification oracle."""
 
 from .errors import (DegenerateError, FloodbenchError, GeometryError,
                      InputError, RasterFormatError)
-from .raster import (BinaryMask, GridWindow, LabelMap, Raster,
-                     connected_components, local_stats, nearest_feature,
-                     read_mask, read_raster, write_mask, write_raster)
+from .raster import (BinaryMask, LabelMap, Raster, connected_components,
+                     local_stats, nearest_feature, read_mask, read_raster,
+                     write_mask, write_raster)
 from .speckle import (FilterConfig, SpeckleModel, apply_filter_config, enl,
                       frost_filter, lee_filter, lee_sigma_filter,
                       median_filter)

@@ -173,9 +173,13 @@ def _smooth_depth(depth: np.ndarray, fl: np.ndarray, iterations: int) -> np.ndar
     return out
 
 
+# query-by-source distance cells held at once; each query row is computed
+# on its own, so the result does not depend on it
+_FLEXTH_CHUNK_CELLS = 2_000_000
+
+
 def flexth(mask: BinaryMask, dem: Raster, cfg: DepthConfig,
-           exclusion: BinaryMask | None = None,
-           chunk_cells: int = 2_000_000) -> DepthField:
+           exclusion: BinaryMask | None = None) -> DepthField:
     """Inverse-distance weighting of the K nearest boundary elevations.
 
     Distances are Euclidean in cells with a floor of one cell; weights are
@@ -197,7 +201,7 @@ def flexth(mask: BinaryMask, dem: Raster, cfg: DepthConfig,
     k = min(cfg.max_neighbors, b)
     nq = cells.shape[0]
     wse_cells = np.empty(nq)
-    step = max(1, chunk_cells // max(1, b))
+    step = max(1, _FLEXTH_CHUNK_CELLS // max(1, b))
     for lo in range(0, nq, step):
         q = cells[lo:lo + step]
         dr = q[:, 0:1] - src[None, :, 0]

@@ -24,9 +24,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import metrics
-from .depth import (DepthAux, DepthConfig, DepthField, DepthOutput,
-                    TABLE_NEIGHBORS, TABLE_SLOPE, TABLE_SMOOTHING,
-                    apply_depth_config, read_cross_sections)
+from .depth import (DepthAux, DepthConfig, DepthField, TABLE_NEIGHBORS,
+                    TABLE_SLOPE, TABLE_SMOOTHING, apply_depth_config,
+                    read_cross_sections)
 from .errors import FloodbenchError, InputError
 from .mapping import (ChanVeseParams, MapperAux, MapperConfig,
                       MorphologyConfig, TABLE_AD, TABLE_BC, TABLE_CV_ALPHA,
@@ -339,9 +339,6 @@ class PipelineResult:
         self.depth = depth
         self.record = record
 
-    def __iter__(self):
-        return iter((self.mask, self.depth, self.record))
-
 
 def _stage_key(stage: str, cfg_payload, *digests: str) -> str:
     return digest_bytes(canonical_json([stage, cfg_payload,
@@ -416,7 +413,7 @@ def run_pipeline(inputs: PipelineInputs, cfg: ConfigSpec,
         depth_params=cfg.depth.describe() if cfg.depth else "")
     t0 = time.perf_counter()
     mask = None
-    depth_out: DepthOutput | None = None
+    dfield = None
     try:
         filtered = _filtered_flood(inputs, cfg, cache)
         aux = MapperAux(
@@ -459,7 +456,6 @@ def run_pipeline(inputs: PipelineInputs, cfg: ConfigSpec,
                 lambda: apply_depth_config(
                     mask, inputs.dem, cfg.depth,
                     DepthAux(inputs.exclusion, tuple(inputs.sections))).field)
-            depth_out = DepthOutput(dfield, None)
             log.info("stage=depth config=%s status=%s",
                      cfg.depth.describe(), "cached" if dhit else "computed")
             if inputs.reference_depth is not None:
@@ -478,11 +474,10 @@ def run_pipeline(inputs: PipelineInputs, cfg: ConfigSpec,
     if out_dir and mask is not None:
         cfg_dir = os.path.join(out_dir, cfg.config_id)
         write_mask(mask, os.path.join(cfg_dir, "mask.fbr"))
-        if depth_out is not None:
-            write_raster(depth_out.field.depth,
-                         os.path.join(cfg_dir, "depth.fbr"))
-            write_raster(depth_out.field.wse, os.path.join(cfg_dir, "wse.fbr"))
-    return PipelineResult(mask, depth_out.field if depth_out else None, rec)
+        if dfield is not None:
+            write_raster(dfield.depth, os.path.join(cfg_dir, "depth.fbr"))
+            write_raster(dfield.wse, os.path.join(cfg_dir, "wse.fbr"))
+    return PipelineResult(mask, dfield, rec)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -168,41 +168,6 @@ def require_intensity(raster: Raster) -> None:
     v = raster.values[raster.finite]
     if v.size and np.min(v) < 0:
         raise InputError("intensity raster has negative values")
-
-
-@dataclass(frozen=True)
-class GridWindow:
-    """Square window of side 2k+1 centered on a cell, reflect padded."""
-
-    row: int
-    col: int
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise InputError("window half-size must be non-negative")
-
-    def cells(self, height: int, width: int) -> Iterable[tuple[int, int]]:
-        for dr in range(-self.k, self.k + 1):
-            for dc in range(-self.k, self.k + 1):
-                yield (reflect_index(self.row + dr, height),
-                       reflect_index(self.col + dc, width))
-
-
-def reflect_index(i: int, n: int) -> int:
-    """Map an out-of-range index into [0, n) by symmetric reflection.
-
-    Reflection is edge-inclusive: -1 -> 0, n -> n-1. Matches the 'reflect'
-    mode of scipy.ndimage filters.
-    """
-    if n <= 0:
-        raise InputError("cannot reflect into an empty axis")
-    while i < 0 or i >= n:
-        if i < 0:
-            i = -i - 1
-        if i >= n:
-            i = 2 * n - 1 - i
-    return i
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +426,12 @@ class NearestResult(NamedTuple):
     distance: np.ndarray   # (Q,) Euclidean distance in cells
 
 
-def nearest_feature(sources: np.ndarray, queries: np.ndarray,
-                    chunk_cells: int = 4_000_000) -> NearestResult:
+# query-by-source distance cells held at once; each query row is computed
+# on its own, so the result does not depend on it
+_NEAREST_CHUNK_CELLS = 4_000_000
+
+
+def nearest_feature(sources: np.ndarray, queries: np.ndarray) -> NearestResult:
     """Exact Euclidean nearest source cell for every query cell.
 
     Ties are broken toward the lowest row index, then the lowest column
@@ -481,7 +450,7 @@ def nearest_feature(sources: np.ndarray, queries: np.ndarray,
     nq = qry.shape[0]
     nearest = np.empty((nq, 2), dtype=np.int64)
     dist2 = np.empty(nq, dtype=np.int64)
-    step = max(1, chunk_cells // max(1, src.shape[0]))
+    step = max(1, _NEAREST_CHUNK_CELLS // max(1, src.shape[0]))
     for lo in range(0, nq, step):
         q = qry[lo:lo + step]
         dr = q[:, 0:1] - src[None, :, 0]

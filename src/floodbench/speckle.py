@@ -168,19 +168,19 @@ def lee_filter(raster: Raster, k: int, model: SpeckleModel) -> Raster:
     return raster.like(out)
 
 
-def _sigma_select(win: np.ndarray, xi: float) -> np.ndarray:
+def _sigma_select(s: np.ndarray, rank: np.ndarray, xi: float) -> np.ndarray:
     """Vectorized improved-sigma interval selection.
 
-    ``win`` is (P, n) with the window samples per pixel in row-major window
-    order (center at n//2). For each pixel, the contiguous run of
-    m = ceil(xi*n) sorted samples whose mean is closest to the full window
-    mean is selected; ties prefer a run covering the center value's rank,
-    then the lowest run start. Returns the selected run means.
+    ``s`` is (P, n) with the n valid window samples of each pixel sorted
+    ascending, and ``rank`` counts the samples below each center value.
+    For each pixel, the contiguous run of m = ceil(xi*n) sorted samples
+    whose mean is closest to the full window mean is selected; ties prefer
+    a run covering the center value's rank, then the lowest run start.
+    Returns the selected run means.
     """
-    p, n = win.shape
+    p, n = s.shape
     m = min(max(int(math.ceil(xi * n)), 1), n)
     runs = n - m + 1
-    s = np.sort(win, axis=1)
     csum = np.zeros((p, n + 1))
     np.cumsum(s, axis=1, out=csum[:, 1:])
     run_mean = (csum[:, m:m + runs] - csum[:, :runs]) / m
@@ -188,8 +188,6 @@ def _sigma_select(win: np.ndarray, xi: float) -> np.ndarray:
     score = np.abs(run_mean - full_mean[:, None])
     best = score.min(axis=1)
     tied = score == best[:, None]
-    center = win[:, n // 2]
-    rank = np.sum(win < center[:, None], axis=1)
     starts = np.arange(runs)[None, :]
     covers = (starts <= rank[:, None]) & (rank[:, None] <= starts + m - 1)
     preferred = tied & covers
@@ -198,13 +196,21 @@ def _sigma_select(win: np.ndarray, xi: float) -> np.ndarray:
     return run_mean[np.arange(p), j]
 
 
-def lee_sigma_filter(raster: Raster, k: int, xi: float,
-                     row_chunk: int = 64) -> Raster:
+# rows of windows sorted at once; bounds the working set to
+# _SIGMA_ROW_CHUNK * width * side^2 samples
+_SIGMA_ROW_CHUNK = 64
+
+
+def lee_sigma_filter(raster: Raster, k: int, xi: float) -> Raster:
     """Mean of the sigma-interval sample of each reflected window.
 
     The interval is the contiguous run of the sorted window sample holding
     a fraction xi of the pixels whose mean best matches the full window
     mean. The center pixel is always part of the candidate sample.
+
+    Nodata cells are dropped from the window sample, and xi applies to the
+    count n of valid members (the run holds ceil(xi*n) of them). A nodata
+    center gives nodata.
     """
     if k < 0:
         raise InputError("window half-size must be non-negative")
@@ -212,47 +218,35 @@ def lee_sigma_filter(raster: Raster, k: int, xi: float,
         raise InputError("xi must lie in (0, 1]")
     if k == 0:
         return raster.like(raster.values)
-    fin = raster.finite
     h, w = raster.values.shape
-    if fin.all():
-        out = np.empty((h, w))
-        padded = np.pad(raster.values, k, mode="symmetric")
-        side = 2 * k + 1
-        view = np.lib.stride_tricks.sliding_window_view(padded, (side, side))
-        for lo in range(0, h, row_chunk):
-            hi = min(lo + row_chunk, h)
-            block = view[lo:hi].reshape(-1, side * side)
-            out[lo:hi] = _sigma_select(block, xi).reshape(hi - lo, w)
-        return raster.like(out)
-    return _lee_sigma_masked(raster, k, xi)
-
-
-def _lee_sigma_masked(raster: Raster, k: int, xi: float) -> Raster:
-    # slow path for rasters with nodata: per-pixel selection over the
-    # finite window members only
+    side = 2 * k + 1
+    nw = side * side
     fin = raster.finite
-    stack = _window_view(np.where(fin, raster.values, np.nan), k)
-    out = np.full(raster.values.shape, raster.nodata)
-    rows, cols = np.nonzero(fin)
-    n_full = stack.shape[-1]
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        sample = stack[r, c]
-        good = sample[~np.isnan(sample)]
-        if good.size == 0:
-            continue
-        m = min(max(int(math.ceil(xi * good.size)), 1), good.size)
-        runs = good.size - m + 1
-        srt = np.sort(good)
-        csum = np.concatenate([[0.0], np.cumsum(srt)])
-        run_mean = (csum[m:m + runs] - csum[:runs]) / m
-        score = np.abs(run_mean - good.mean())
-        tied = score == score.min()
-        rank = int(np.sum(good < sample[n_full // 2]))
-        starts = np.arange(runs)
-        covers = (starts <= rank) & (rank <= starts + m - 1)
-        pref = tied & covers
-        j = int(np.argmax(pref)) if pref.any() else int(np.argmax(tied))
-        out[r, c] = run_mean[j]
+    padded = np.pad(np.where(fin, raster.values, np.nan), k, mode="symmetric")
+    view = np.lib.stride_tricks.sliding_window_view(padded, (side, side))
+    # valid members per window; 0 marks a nodata center
+    valid = ndimage.uniform_filter(fin.astype(np.float64), size=side,
+                                   mode="reflect")
+    counts = np.where(fin, np.rint(valid * nw), 0).astype(np.intp)
+    out = np.full((h, w), raster.nodata)
+    for lo in range(0, h, _SIGMA_ROW_CHUNK):
+        hi = min(lo + _SIGMA_ROW_CHUNK, h)
+        win = view[lo:hi].reshape(-1, nw)
+        srt = np.sort(win, axis=1)  # NaN sorts last
+        center = win[:, nw // 2]
+        # NaN never compares less, so the rank counts valid members only
+        rank = np.sum(win < center[:, None], axis=1)
+        count = counts[lo:hi].reshape(-1)
+        block = out[lo:hi].reshape(-1)
+        for n in np.flatnonzero(np.bincount(count)[1:]) + 1:
+            sel = count == n
+            # a group spanning the chunk (every all-finite raster) slices
+            # the sorted block; gathering it would copy the whole block
+            if sel.all():
+                block[:] = _sigma_select(srt[:, :n], rank, xi)
+            else:
+                idx = np.flatnonzero(sel)
+                block[idx] = _sigma_select(srt[idx, :n], rank[idx], xi)
     return raster.like(out)
 
 

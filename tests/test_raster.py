@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from floodbench.errors import (GeometryError, InputError, RasterFormatError)
-from floodbench.raster import (ASCII_GRID, FLAT_BINARY, BinaryMask, GridWindow,
-                               Raster, connected_components, local_stats,
-                               mask_like, nearest_feature, read_mask,
-                               read_raster, reflect_index, require_same_grid,
-                               write_mask, write_raster)
+from floodbench.raster import (ASCII_GRID, FLAT_BINARY, BinaryMask, Raster,
+                               connected_components, local_stats, mask_like,
+                               nearest_feature, read_mask, read_raster,
+                               require_same_grid, write_mask, write_raster)
 
 from conftest import random_mask, random_raster
+from test_oracles import reflect_index
 
 
 def test_ascii_grid_trivial_parse(tmp_path):
@@ -102,22 +102,6 @@ def test_geometry_mismatch_raises():
     b = Raster(2, 2, 2.0, 0.0, 0.0, -9999.0, np.zeros((2, 2)))
     with pytest.raises(GeometryError):
         require_same_grid(a, b)
-
-
-def test_reflect_index_is_edge_inclusive():
-    assert reflect_index(-1, 5) == 0
-    assert reflect_index(-2, 5) == 1
-    assert reflect_index(5, 5) == 4
-    assert reflect_index(6, 5) == 3
-    assert reflect_index(0, 1) == 0
-    assert reflect_index(-3, 1) == 0
-
-
-def test_grid_window_cells_stay_in_bounds():
-    win = GridWindow(0, 0, 2)
-    cells = list(win.cells(4, 4))
-    assert len(cells) == 25
-    assert all(0 <= i < 4 and 0 <= j < 4 for i, j in cells)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from floodbench.synth import apply_speckle
 from floodbench.ensemble import enumerate_filters
 
 from conftest import random_raster
+from test_oracles import reflect_index
 
 
 def constant_raster(value=5.0, size=9):
@@ -84,7 +85,6 @@ def test_median_rejects_center_outlier():
 
 
 def _median_oracle(values, k):
-    from floodbench.raster import reflect_index
     h, w = values.shape
     out = np.empty_like(values)
     for i in range(h):
@@ -167,16 +167,15 @@ def test_lee_sigma_xi_one_is_window_mean():
     assert np.allclose(out.values, mean.values)
 
 
-def _sigma_oracle_pixel(window_rowmajor, xi):
-    """Enumerate contiguous runs of the sorted sample; pick the one whose
-    mean best matches the window mean, preferring runs covering the center
-    value's rank, then the lowest start."""
-    n = len(window_rowmajor)
+def _sigma_oracle_pixel(members, center, xi):
+    """Enumerate contiguous runs of the sorted finite window members; pick
+    the one whose mean best matches the members' mean, preferring runs
+    covering the center value's rank, then the lowest start."""
+    n = len(members)
     m = max(1, min(n, math.ceil(xi * n)))
-    s = sorted(window_rowmajor)
-    full_mean = sum(window_rowmajor) / n
-    center = window_rowmajor[n // 2]
-    rank = sum(1 for v in window_rowmajor if v < center)
+    s = sorted(members)
+    full_mean = sum(members) / n
+    rank = sum(1 for v in members if v < center)
     best = None
     for start in range(n - m + 1):
         run = s[start:start + m]
@@ -189,18 +188,34 @@ def _sigma_oracle_pixel(window_rowmajor, xi):
 
 
 def test_lee_sigma_matches_exhaustive_interval_oracle():
-    from floodbench.raster import reflect_index
     rng = np.random.default_rng(25)
     vals = rng.uniform(0.0, 1.0, size=(9, 9))
     vals[4, 4] = 50.0  # one extreme outlier
-    r = Raster(9, 9, 1.0, 0.0, 0.0, -9999.0, vals)
-    for xi in (0.7, 0.8, 0.9):
-        out = lee_sigma_filter(r, 2, xi)
-        for i, j in [(4, 4), (0, 0), (3, 5), (8, 8)]:
-            window = [vals[reflect_index(i + di, 9), reflect_index(j + dj, 9)]
-                      for di in range(-2, 3) for dj in range(-2, 3)]
-            assert out.values[i, j] == pytest.approx(
-                _sigma_oracle_pixel(window, xi), rel=1e-12)
+    border = rng.uniform(0.0, 1.0, size=(12, 11))
+    border[:2] = border[-2:] = border[:, :2] = border[:, -1:] = -9999.0
+    scattered = rng.uniform(0.0, 1.0, size=(10, 12))
+    scattered[rng.random(scattered.shape) < 0.25] = -9999.0
+    # small integers make equal run means and equal scores common
+    ties = rng.integers(0, 4, size=(11, 10)).astype(np.float64)
+    ties[rng.random(ties.shape) < 0.2] = -9999.0
+    # the window of (3, 3) keeps nine members; at xi = 0.8 its two runs tie
+    # exactly (means 7/8 and 9/8 about 1) and only the upper one covers the
+    # center's rank
+    ties[1:6, 1:6] = -9999.0
+    ties[2:5, 2:5] = [[1, 1, 1], [1, 2, 1], [1, 1, 0]]
+    for vals in (vals, border, scattered, ties):
+        h, w = vals.shape
+        r = Raster(w, h, 1.0, 0.0, 0.0, -9999.0, vals)
+        for xi in (0.7, 0.8, 0.9):
+            out = lee_sigma_filter(r, 2, xi)
+            assert np.array_equal(out.values == -9999.0, vals == -9999.0)
+            for i, j in np.argwhere(vals != -9999.0).tolist():
+                window = [vals[reflect_index(i + di, h),
+                               reflect_index(j + dj, w)]
+                          for di in range(-2, 3) for dj in range(-2, 3)]
+                members = [v for v in window if v != -9999.0]
+                assert out.values[i, j] == pytest.approx(
+                    _sigma_oracle_pixel(members, vals[i, j], xi), rel=1e-12)
 
 
 def test_lee_sigma_prefers_mean_matching_run():
