@@ -18,7 +18,8 @@ import os
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -233,10 +234,17 @@ class StageCache:
         path = self._path(key)
         if not os.path.exists(path):
             return None
-        with np.load(path) as data:
-            if str(data["kind"]) != kind:
-                return None
-            return _unpack(kind, data)
+        try:
+            # np.load leaves its own handle open on a truncated zip
+            with open(path, "rb") as fh, np.load(fh) as data:
+                if str(data["kind"]) != kind:
+                    return None
+                return _unpack(kind, data)
+        except (OSError, ValueError, KeyError, EOFError,
+                zipfile.BadZipFile):
+            # unreadable entry: a miss, which the atomic store replaces
+            log.warning("stage=cache status=corrupt key=%s", key[:12])
+            return None
 
     def _store(self, key: str, kind: str, obj) -> None:
         if not self.directory:
@@ -497,7 +505,8 @@ class SweepPlan:
 def sweep(plan: SweepPlan) -> str:
     """Run every configuration of a plan; returns the manifest CSV path.
 
-    Rows are appended in completion order through a single writer thread.
+    Rows are appended in plan order through a single writer thread, and
+    each result is released once its row is written.
     Reruns reuse the stage cache, so an interrupted sweep resumed with the
     same cache directory recomputes only missing stages.
     """
@@ -514,10 +523,10 @@ def sweep(plan: SweepPlan) -> str:
         if not plan.configs:
             return manifest
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_pipeline, plan.inputs, cfg, cache,
-                                   out_dir) for cfg in plan.configs]
-            for fut in as_completed(futures):
-                result = fut.result()
+            results = pool.map(
+                lambda cfg: run_pipeline(plan.inputs, cfg, cache, out_dir),
+                plan.configs)
+            for result in results:
                 metrics.append_manifest_row(fh, result.record)
                 log.info("stage=record config=%s status=%s",
                          result.record.config_id, result.record.status)

@@ -343,32 +343,25 @@ def local_stats(raster: Raster, k: int) -> tuple[Raster, Raster]:
     """Per-cell mean and population variance over the (2k+1)^2 window.
 
     Windows are reflect padded. Nodata cells are excluded from the window
-    sample; output is nodata where the center cell is nodata or the whole
-    window is nodata.
+    sample: the window means of the zero-filled values and of their
+    squares are divided by the window's valid fraction, which is exactly
+    1.0 when every member is valid. Output is nodata where the center cell
+    is nodata.
     """
     if k < 0:
         raise InputError("window half-size must be non-negative")
     size = 2 * k + 1
-    v = raster.values
     fin = raster.finite
-    if fin.all():
-        mean = ndimage.uniform_filter(v, size=size, mode="reflect")
-        meansq = ndimage.uniform_filter(v * v, size=size, mode="reflect")
-        var = np.maximum(meansq - mean * mean, 0.0)
-    else:
-        kernel = np.ones((size, size))
-        w = fin.astype(np.float64)
-        v0 = np.where(fin, v, 0.0)
-        cnt = np.rint(ndimage.correlate(w, kernel, mode="reflect"))
-        s1 = ndimage.correlate(v0, kernel, mode="reflect")
-        s2 = ndimage.correlate(v0 * v0, kernel, mode="reflect")
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean = np.where(cnt > 0, s1 / np.maximum(cnt, 1), raster.nodata)
-            var = np.where(cnt > 0,
-                           np.maximum(s2 / np.maximum(cnt, 1) - mean * mean, 0.0),
-                           raster.nodata)
-        mean[~fin] = raster.nodata
-        var[~fin] = raster.nodata
+    v0 = np.where(fin, raster.values, 0.0)
+    frac = ndimage.uniform_filter(fin.astype(np.float64), size=size,
+                                  mode="reflect")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = ndimage.uniform_filter(v0, size=size, mode="reflect") / frac
+        meansq = ndimage.uniform_filter(v0 * v0, size=size,
+                                        mode="reflect") / frac
+        var = np.where(fin, np.maximum(meansq - mean * mean, 0.0),
+                       raster.nodata)
+    mean = np.where(fin, mean, raster.nodata)
     return raster.like(mean), raster.like(var)
 
 

@@ -8,7 +8,6 @@ geometry and nodata placement, and return freshly allocated rasters.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,35 +108,53 @@ class FilterConfig:
         return "none"
 
 
-def _window_view(values: np.ndarray, k: int) -> np.ndarray:
-    """(H, W, side*side) reflect-padded sliding windows, row-major order."""
+# rows of windows sorted at once; bounds the working set to
+# _ROW_CHUNK * width * side^2 samples
+_ROW_CHUNK = 64
+
+
+def _sorted_windows(raster: Raster, k: int):
+    """Yield (rows, sorted, windows, n) for each chunk of _ROW_CHUNK rows.
+
+    ``windows`` holds each cell's reflect-padded (2k+1)^2 window in
+    row-major order with nodata as NaN, ``sorted`` the same windows sorted
+    ascending with NaN last, and ``n`` each window's count of valid
+    members, 0 at a nodata center. Rows of the 2-D arrays are the cells of
+    ``rows`` in row-major order.
+    """
     side = 2 * k + 1
-    padded = np.pad(values, k, mode="symmetric")
+    nw = side * side
+    fin = raster.finite
+    padded = np.pad(np.where(fin, raster.values, np.nan), k, mode="symmetric")
     view = np.lib.stride_tricks.sliding_window_view(padded, (side, side))
-    return view.reshape(values.shape[0], values.shape[1], side * side)
+    valid = ndimage.uniform_filter(fin.astype(np.float64), size=side,
+                                   mode="reflect")
+    counts = np.where(fin, np.rint(valid * nw), 0).astype(np.intp)
+    h = fin.shape[0]
+    for lo in range(0, h, _ROW_CHUNK):
+        rows = slice(lo, min(lo + _ROW_CHUNK, h))
+        win = view[rows].reshape(-1, nw)
+        yield rows, np.sort(win, axis=1), win, counts[rows].reshape(-1)
 
 
 def median_filter(raster: Raster, k: int) -> Raster:
     """Replace each cell by the median of its reflected window.
 
     Nodata cells are dropped from the window sample; an even surviving
-    count takes the mean of the two central order statistics.
+    count takes the mean of the two central order statistics. A nodata
+    center gives nodata.
     """
     if k < 0:
         raise InputError("window half-size must be non-negative")
     if k == 0:
         return raster.like(raster.values)
-    fin = raster.finite
-    if fin.all():
-        out = ndimage.median_filter(raster.values, size=2 * k + 1,
-                                    mode="reflect")
-    else:
-        stack = _window_view(np.where(fin, raster.values, np.nan), k)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            out = np.nanmedian(stack, axis=-1)
-        out = np.where(np.isnan(out), raster.nodata, out)
-        out = np.where(fin, out, raster.nodata)
+    out = np.full(raster.values.shape, raster.nodata)
+    for rows, srt, _, n in _sorted_windows(raster, k):
+        cell = np.arange(n.size)
+        # odd n averages the middle sample with itself, which is exact
+        med = (srt[cell, (n - 1) // 2] + srt[cell, n // 2]) / 2
+        block = out[rows].reshape(-1)
+        block[:] = np.where(n > 0, med, raster.nodata)
     return raster.like(out)
 
 
@@ -196,11 +213,6 @@ def _sigma_select(s: np.ndarray, rank: np.ndarray, xi: float) -> np.ndarray:
     return run_mean[np.arange(p), j]
 
 
-# rows of windows sorted at once; bounds the working set to
-# _SIGMA_ROW_CHUNK * width * side^2 samples
-_SIGMA_ROW_CHUNK = 64
-
-
 def lee_sigma_filter(raster: Raster, k: int, xi: float) -> Raster:
     """Mean of the sigma-interval sample of each reflected window.
 
@@ -218,26 +230,12 @@ def lee_sigma_filter(raster: Raster, k: int, xi: float) -> Raster:
         raise InputError("xi must lie in (0, 1]")
     if k == 0:
         return raster.like(raster.values)
-    h, w = raster.values.shape
-    side = 2 * k + 1
-    nw = side * side
-    fin = raster.finite
-    padded = np.pad(np.where(fin, raster.values, np.nan), k, mode="symmetric")
-    view = np.lib.stride_tricks.sliding_window_view(padded, (side, side))
-    # valid members per window; 0 marks a nodata center
-    valid = ndimage.uniform_filter(fin.astype(np.float64), size=side,
-                                   mode="reflect")
-    counts = np.where(fin, np.rint(valid * nw), 0).astype(np.intp)
-    out = np.full((h, w), raster.nodata)
-    for lo in range(0, h, _SIGMA_ROW_CHUNK):
-        hi = min(lo + _SIGMA_ROW_CHUNK, h)
-        win = view[lo:hi].reshape(-1, nw)
-        srt = np.sort(win, axis=1)  # NaN sorts last
-        center = win[:, nw // 2]
+    out = np.full(raster.values.shape, raster.nodata)
+    for rows, srt, win, count in _sorted_windows(raster, k):
+        center = win[:, win.shape[1] // 2]
         # NaN never compares less, so the rank counts valid members only
         rank = np.sum(win < center[:, None], axis=1)
-        count = counts[lo:hi].reshape(-1)
-        block = out[lo:hi].reshape(-1)
+        block = out[rows].reshape(-1)
         for n in np.flatnonzero(np.bincount(count)[1:]) + 1:
             sel = count == n
             # a group spanning the chunk (every all-finite raster) slices
@@ -254,7 +252,10 @@ def frost_filter(raster: Raster, k: int, alpha: float) -> Raster:
     """Exponentially distance-weighted window mean, e^(-alpha*d) weights.
 
     d is the Euclidean offset of each window member from the center, in
-    pixels. Weights are renormalized over the non-nodata members.
+    pixels. Nodata members get weight 0 and the weights are renormalized
+    over the valid members (a normalized convolution: the correlation of
+    the zero-filled values over the correlation of the valid mask). A
+    nodata center gives nodata.
     """
     if k < 0:
         raise InputError("window half-size must be non-negative")
@@ -264,17 +265,11 @@ def frost_filter(raster: Raster, k: int, alpha: float) -> Raster:
     dist = np.hypot(off[:, None], off[None, :])
     weights = np.exp(-alpha * dist)
     fin = raster.finite
-    if fin.all():
-        out = ndimage.correlate(raster.values, weights / weights.sum(),
-                                mode="reflect")
-    else:
-        v0 = np.where(fin, raster.values, 0.0)
-        num = ndimage.correlate(v0, weights, mode="reflect")
-        den = ndimage.correlate(fin.astype(np.float64), weights, mode="reflect")
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(den > 0, num / np.where(den > 0, den, 1.0),
-                           raster.nodata)
-        out = np.where(fin, out, raster.nodata)
+    num = ndimage.correlate(np.where(fin, raster.values, 0.0), weights,
+                            mode="reflect")
+    den = ndimage.correlate(fin.astype(np.float64), weights, mode="reflect")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.where(fin, num / den, raster.nodata)
     return raster.like(out)
 
 

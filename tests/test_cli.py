@@ -239,7 +239,9 @@ def test_verbose_diagnostics_on_stderr(tmp_path, scene_dir, capsys):
     assert "stage=mapflood" in err and "status=written" in err
 
 
-def test_sweep_rerun_hits_cache_and_matches(tmp_path, scene_dir, capsys):
+def cached_plan(tmp_path):
+    """8-config sweep plan (none and three median windows x 2 global
+    thresholds) that caches under tmp_path/cache."""
     plan = tmp_path / "plan.cfg"
     plan.write_text(
         "[inputs]\n"
@@ -249,6 +251,17 @@ def test_sweep_rerun_hits_cache_and_matches(tmp_path, scene_dir, capsys):
         "[mappers]\nmethods = global_threshold\n"
         "[run]\njobs = 2\nwrite_outputs = false\n"
         "cache_dir = cache\n")
+    return plan
+
+
+def manifest_multiset(rows):
+    """Row multiset with the timing column dropped (it varies per run)."""
+    return sorted(tuple(sorted((k, v) for k, v in r.items()
+                               if k != "wall_ms")) for r in rows)
+
+
+def test_sweep_rerun_hits_cache_and_matches(tmp_path, scene_dir, capsys):
+    plan = cached_plan(tmp_path)
     assert main(["-v", "sweep", "--plan", str(plan), "--out-dir",
                  str(tmp_path / "o1")]) == 0
     first = capsys.readouterr()
@@ -258,7 +271,29 @@ def test_sweep_rerun_hits_cache_and_matches(tmp_path, scene_dir, capsys):
     assert "status=cached" in second.err
     rows1 = read_manifest(first.out.strip().splitlines()[-1])
     rows2 = read_manifest(second.out.strip().splitlines()[-1])
-    strip = lambda rows: sorted(
-        tuple(sorted((k, v) for k, v in r.items() if k != "wall_ms"))
-        for r in rows)
-    assert strip(rows1) == strip(rows2)
+    assert manifest_multiset(rows1) == manifest_multiset(rows2)
+
+
+def test_sweep_corrupt_cache_entries_are_recomputed(tmp_path, scene_dir,
+                                                    capsys):
+    plan = cached_plan(tmp_path)
+    assert main(["sweep", "--plan", str(plan), "--out-dir",
+                 str(tmp_path / "o1")]) == 0
+    clean = read_manifest(capsys.readouterr().out.strip().splitlines()[-1])
+    junk, truncated = sorted((tmp_path / "cache").glob("*.npz"))[:2]
+    junk.write_bytes(b"junk")
+    truncated.write_bytes(truncated.read_bytes()[:truncated.stat().st_size
+                                                 // 2])
+    assert main(["-v", "sweep", "--plan", str(plan), "--out-dir",
+                 str(tmp_path / "o2")]) == 0
+    rerun = capsys.readouterr()
+    assert rerun.err.count("stage=cache status=corrupt") == 2
+    assert "key=" + junk.stem[:12] in rerun.err
+    assert "key=" + truncated.stem[:12] in rerun.err
+    rows = read_manifest(rerun.out.strip().splitlines()[-1])
+    assert len(rows) == len(clean) == 8
+    assert manifest_multiset(rows) == manifest_multiset(clean)
+    # the recomputed entries replaced the corrupt files
+    assert main(["-v", "sweep", "--plan", str(plan), "--out-dir",
+                 str(tmp_path / "o3")]) == 0
+    assert "status=corrupt" not in capsys.readouterr().err

@@ -220,6 +220,18 @@ def test_sweep_parallelism_invariance(tmp_path, sweep_scene):
         == manifest_multiset(read_manifest(m2))
 
 
+def test_sweep_rows_follow_plan_order(tmp_path, sweep_scene):
+    inputs = scene_inputs(sweep_scene)
+    # reversing the plan puts slow active-contour configs ahead of fast
+    # ones, so completion order would differ from plan order
+    configs = small_config_set(None)[::-1]
+    manifest = sweep(SweepPlan(inputs, configs, str(tmp_path / "o"), jobs=2,
+                               cache_dir=str(tmp_path / "c"),
+                               write_outputs=False))
+    assert [r["config_id"] for r in read_manifest(manifest)] \
+        == [c.config_id for c in configs]
+
+
 def test_sweep_resume_completes_manifest(tmp_path, sweep_scene):
     inputs = scene_inputs(sweep_scene)
     configs = small_config_set(None)

@@ -2,6 +2,7 @@
 queries, each checked against brute-force oracles."""
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from floodbench.errors import (GeometryError, InputError, RasterFormatError)
 from floodbench.raster import (ASCII_GRID, FLAT_BINARY, BinaryMask, Raster,
@@ -156,6 +157,36 @@ def test_local_stats_excludes_nodata():
     good = sample[sample != -9999.0]
     assert mean.values[0, 0] == pytest.approx(good.mean())
     assert var.values[0, 0] == pytest.approx(good.var())
+    rng = np.random.default_rng(4)
+    vals = rng.uniform(0.5, 2.0, size=(12, 11))
+    vals[:2] = vals[-2:] = vals[:, :2] = vals[:, -1:] = -9999.0
+    vals[6, 5] = -9999.0
+    r = Raster(11, 12, 1.0, 0.0, 0.0, -9999.0, vals)
+    for k in (1, 2, 3):
+        mean, var = local_stats(r, k)
+        assert np.array_equal(mean.values == -9999.0, vals == -9999.0)
+        assert np.array_equal(var.values == -9999.0, vals == -9999.0)
+        for i, j in np.argwhere(vals != -9999.0).tolist():
+            sample = _window_sample(vals, i, j, k)
+            good = sample[sample != -9999.0]
+            assert mean.values[i, j] == pytest.approx(good.mean(), rel=1e-12)
+            assert var.values[i, j] == pytest.approx(good.var(), rel=1e-9,
+                                                     abs=1e-12)
+
+
+def test_local_stats_all_finite_is_the_uniform_filter():
+    """With every member valid the valid fraction is exactly 1.0, so the
+    statistics are the plain window means bit for bit."""
+    rng = np.random.default_rng(5)
+    r = random_raster(rng, 23, 17)
+    v = r.values
+    for k in (0, 1, 2, 3):
+        mean, var = local_stats(r, k)
+        expect = ndimage.uniform_filter(v, size=2 * k + 1, mode="reflect")
+        meansq = ndimage.uniform_filter(v * v, size=2 * k + 1, mode="reflect")
+        assert np.array_equal(mean.values, expect)
+        assert np.array_equal(var.values,
+                              np.maximum(meansq - expect * expect, 0.0))
 
 
 def test_local_stats_variance_nonnegative_property():
