@@ -15,8 +15,8 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DegenerateError, InputError
-from .raster import (BinaryMask, DRY, FLOODED, Raster, nearest_feature,
-                     require_same_grid)
+from .raster import (BinaryMask, DRY, FLOODED, Raster, _k_nearest,
+                     nearest_feature, require_same_grid)
 
 DEPTH_METHODS = ("fwdet", "flexth", "cross_section")
 TABLE_SLOPE = (None, 5.0, 10.0)
@@ -173,18 +173,15 @@ def _smooth_depth(depth: np.ndarray, fl: np.ndarray, iterations: int) -> np.ndar
     return out
 
 
-# query-by-source distance cells held at once; each query row is computed
-# on its own, so the result does not depend on it
-_FLEXTH_CHUNK_CELLS = 2_000_000
-
-
 def flexth(mask: BinaryMask, dem: Raster, cfg: DepthConfig,
            exclusion: BinaryMask | None = None) -> DepthField:
     """Inverse-distance weighting of the K nearest boundary elevations.
 
-    Distances are Euclidean in cells with a floor of one cell; weights are
-    1/d normalized over the K selected neighbors (all boundary cells when
-    K exceeds the boundary size). When an exclusion mask is given, the
+    The K nearest boundary cells are ranked by (squared distance, row,
+    col) and found exactly by a k-d tree query (all boundary cells when K
+    exceeds the boundary size). Distances are Euclidean in cells with a
+    floor of one cell; weights are 1/d normalized over the K neighbors,
+    summed nearest first. When an exclusion mask is given, the
     flood first grows ring by ring into adjacent exclusion cells until no
     exclusion cell borders the flood, and the grown cells receive
     interpolated surfaces like any other flooded cell.
@@ -197,23 +194,12 @@ def flexth(mask: BinaryMask, dem: Raster, cfg: DepthConfig,
     order = np.lexsort((src[:, 1], src[:, 0]))
     src = src[order]
     z = boundary.elevations[order]
-    b = src.shape[0]
-    k = min(cfg.max_neighbors, b)
-    nq = cells.shape[0]
-    wse_cells = np.empty(nq)
-    step = max(1, _FLEXTH_CHUNK_CELLS // max(1, b))
-    for lo in range(0, nq, step):
-        q = cells[lo:lo + step]
-        dr = q[:, 0:1] - src[None, :, 0]
-        dc = q[:, 1:2] - src[None, :, 1]
-        d2 = dr * dr + dc * dc
-        # stable sort keeps the row-major source order on ties
-        near = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        rows = np.arange(q.shape[0])[:, None]
-        dist = np.sqrt(d2[rows, near].astype(np.float64))
-        w = 1.0 / np.maximum(dist, 1.0)
-        wn = w / w.sum(axis=1, keepdims=True)
-        wse_cells[lo:lo + step] = np.sum(wn * z[near], axis=1)
+    k = min(cfg.max_neighbors, src.shape[0])
+    near, d2 = _k_nearest(src, cells, k)
+    dist = np.sqrt(d2.astype(np.float64))
+    w = 1.0 / np.maximum(dist, 1.0)
+    wn = w / w.sum(axis=1, keepdims=True)
+    wse_cells = np.sum(wn * z[near], axis=1)
     return _field_from_wse(dem, fl, wse_cells, cells)
 
 

@@ -348,9 +348,17 @@ class PipelineResult:
         self.record = record
 
 
+# Bump a stage's version whenever its algorithm may change a stored output
+# bit, and CACHE_FORMAT whenever the entry layout changes, so entries written
+# by older code are misses rather than stale hits.
+CACHE_FORMAT = 1
+STAGE_VERSIONS = {"filter": 1, "filter_ref": 1, "map": 1, "depth": 1}
+
+
 def _stage_key(stage: str, cfg_payload, *digests: str) -> str:
-    return digest_bytes(canonical_json([stage, cfg_payload,
-                                        list(digests)]).encode())
+    return digest_bytes(canonical_json(
+        [CACHE_FORMAT, stage, STAGE_VERSIONS[stage], cfg_payload,
+         list(digests)]).encode())
 
 
 def _filtered_flood(inputs: PipelineInputs, cfg: ConfigSpec,
@@ -406,8 +414,10 @@ def run_pipeline(inputs: PipelineInputs, cfg: ConfigSpec,
     """Execute filter -> map -> morphology -> optional depth -> metrics.
 
     Failures inside any stage produce a failed MetricsRecord instead of an
-    exception, so sweeps always run to completion. When ``out_dir`` is set
-    the produced rasters land under out_dir/<config_id>/.
+    exception, so sweeps always run to completion; an exception that is not
+    a FloodbenchError is recorded with reason ``internal: <Type>: <msg>``.
+    When ``out_dir`` is set the produced rasters land under
+    out_dir/<config_id>/.
     """
     cache = cache or StageCache()
     rec = MetricsRecord(
@@ -473,11 +483,15 @@ def run_pipeline(inputs: PipelineInputs, cfg: ConfigSpec,
                 rec.rmse_m = pts.rmse
                 rec.skipped_points = pts.skipped
         rec.status = "ok"
-    except FloodbenchError as exc:
+    except Exception as exc:
+        # a bug in one stage must not abort the sweep: record it, with its
+        # traceback in the log
+        internal = not isinstance(exc, FloodbenchError)
         rec.status = "failed"
-        rec.reason = str(exc)
+        rec.reason = ("internal: %s: %s" % (type(exc).__name__, exc)
+                      if internal else str(exc))
         log.info("stage=pipeline config=%s status=failed reason=%s",
-                 cfg.config_id, exc)
+                 cfg.config_id, rec.reason, exc_info=internal)
     rec.wall_ms = (time.perf_counter() - t0) * 1000.0
     if out_dir and mask is not None:
         cfg_dir = os.path.join(out_dir, cfg.config_id)

@@ -419,9 +419,50 @@ class NearestResult(NamedTuple):
     distance: np.ndarray   # (Q,) Euclidean distance in cells
 
 
-# query-by-source distance cells held at once; each query row is computed
-# on its own, so the result does not depend on it
-_NEAREST_CHUNK_CELLS = 4_000_000
+# candidates queried beyond k; a row whose k-th squared distance ties its
+# last candidate is queried again with twice as many
+_KNN_SLACK = 8
+
+
+def _k_nearest(src: np.ndarray, qry: np.ndarray,
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact k nearest sources of every query, ranked by (d², row, col).
+
+    ``src`` is a (B, 2) int64 array lexsorted by (row, col), so ranking by
+    (d², source index) is ranking by (d², row, col); ``qry`` is (Q, 2)
+    int64 and 1 <= k <= B. A k-d tree (Bentley 1975) proposes k + slack
+    candidates per query, whose squared distances are recomputed in int64.
+    A row is accepted when its k-th d² is strictly below the d² of its last
+    candidate (every source left out is then farther than all k kept), or
+    when the candidates are all B sources; the other rows are queried
+    again with twice the candidates. Returns (Q, k) source indices and
+    their (Q, k) squared distances.
+    """
+    # imported here: scipy.spatial adds ~0.1 s to startup, and most sweeps
+    # never run a depth query
+    from scipy.spatial import cKDTree
+    b, nq = src.shape[0], qry.shape[0]
+    idx = np.empty((nq, k), dtype=np.int64)
+    d2 = np.empty((nq, k), dtype=np.int64)
+    tree = cKDTree(src)
+    todo = np.arange(nq)
+    m = min(k + _KNN_SLACK, b)
+    while todo.size:
+        q = qry[todo]
+        cand = np.sort(tree.query(q, k=m)[1].reshape(todo.size, m), axis=1)
+        dr = q[:, 0:1] - src[cand, 0]
+        dc = q[:, 1:2] - src[cand, 1]
+        cd2 = dr * dr + dc * dc
+        # stable sort of index-sorted candidates: ties go to the lower index
+        rank = np.argsort(cd2, axis=1, kind="stable")
+        cand = np.take_along_axis(cand, rank, axis=1)
+        cd2 = np.take_along_axis(cd2, rank, axis=1)
+        done = (cd2[:, k - 1] < cd2[:, -1]) | (m == b)
+        idx[todo[done]] = cand[done, :k]
+        d2[todo[done]] = cd2[done, :k]
+        todo = todo[~done]
+        m = min(2 * m, b)
+    return idx, d2
 
 
 def nearest_feature(sources: np.ndarray, queries: np.ndarray) -> NearestResult:
@@ -429,27 +470,16 @@ def nearest_feature(sources: np.ndarray, queries: np.ndarray) -> NearestResult:
 
     Ties are broken toward the lowest row index, then the lowest column
     index. Distances are exact (integer squared distances under the hood).
+    This is the k = 1 case of the k-d tree query ``_k_nearest``.
 
     Args:
         sources: (B, 2) integer (row, col) array, B >= 1.
-        queries: (Q, 2) integer (row, col) array.
+        queries: (Q, 2) integer (row, col) array, Q >= 0.
     """
     src = np.atleast_2d(np.asarray(sources, dtype=np.int64))
     if src.size == 0:
         raise InputError("empty source set")
     qry = np.atleast_2d(np.asarray(queries, dtype=np.int64))
-    order = np.lexsort((src[:, 1], src[:, 0]))
-    src = src[order]
-    nq = qry.shape[0]
-    nearest = np.empty((nq, 2), dtype=np.int64)
-    dist2 = np.empty(nq, dtype=np.int64)
-    step = max(1, _NEAREST_CHUNK_CELLS // max(1, src.shape[0]))
-    for lo in range(0, nq, step):
-        q = qry[lo:lo + step]
-        dr = q[:, 0:1] - src[None, :, 0]
-        dc = q[:, 1:2] - src[None, :, 1]
-        d2 = dr * dr + dc * dc
-        best = np.argmin(d2, axis=1)  # first minimum = lexicographic winner
-        nearest[lo:lo + step] = src[best]
-        dist2[lo:lo + step] = d2[np.arange(q.shape[0]), best]
-    return NearestResult(nearest, np.sqrt(dist2.astype(np.float64)))
+    src = src[np.lexsort((src[:, 1], src[:, 0]))]
+    idx, d2 = _k_nearest(src, qry, 1)
+    return NearestResult(src[idx[:, 0]], np.sqrt(d2[:, 0].astype(np.float64)))

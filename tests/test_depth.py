@@ -9,10 +9,12 @@ from floodbench.depth import (CrossSection, DepthAux, DepthConfig,
                               extract_boundary, flexth, fwdet,
                               read_cross_sections, sample_chain)
 from floodbench.errors import DegenerateError, InputError
-from floodbench.raster import BinaryMask, FLOODED, Raster
+from floodbench.raster import (BinaryMask, DRY, FLOODED, MASK_NODATA,
+                               Raster)
 from floodbench.synth import SceneSpec, generate_scene
 
 from conftest import smooth_valley  # noqa: F401
+from test_oracles import RING_EXTRAS, ring_sources
 
 
 def flat_raster(h, w, value=0.0, cell=10.0):
@@ -230,6 +232,41 @@ def test_flexth_matches_brute_force_oracle():
     oracle = _flexth_oracle(mask, dem, 5)
     for (qi, qj), wse in oracle.items():
         assert field.wse.values[qi, qj] == pytest.approx(wse, rel=1e-12)
+
+
+def ring_boundary_scene(extra):
+    """A mask whose boundary is ``ring_sources(extra)``: the 24-cell
+    d² = 325 ring around (50, 50) plus the extra cells.
+
+    Each boundary cell is flooded with one dry cell just outside it; the
+    other flooded cells (the centre, cells next to it, and cells far
+    outside the ring) sit in nodata, so they are queries but never
+    boundary cells.
+    """
+    n, c = 100, 50
+    vals = np.full((n, n), MASK_NODATA, dtype=np.uint8)
+    boundary = ring_sources(extra)
+    for r, col in boundary.tolist():
+        dr, dc = r - c, col - c
+        step = (np.sign(dr), 0) if abs(dr) > abs(dc) else (0, np.sign(dc))
+        vals[r + step[0], col + step[1]] = DRY
+        vals[r, col] = FLOODED
+    for r, col in ((c, c), (c, c + 1), (c + 1, c + 1), (c - 1, c + 2),
+                   (c, 97), (2, 2), (97, c + 7), (c - 9, 1)):
+        vals[r, col] = FLOODED
+    rng = np.random.default_rng(65)
+    dem = Raster(n, n, 10.0, 0.0, 0.0, -9999.0, rng.normal(0, 1, (n, n)))
+    return BinaryMask(n, n, 10.0, 0.0, 0.0, vals), dem, boundary
+
+
+@pytest.mark.parametrize("extra", RING_EXTRAS)
+def test_flexth_ring_ties_match_oracle(extra):
+    mask, dem, boundary = ring_boundary_scene(extra)
+    assert np.array_equal(extract_boundary(mask, dem, None).cells, boundary)
+    for k in range(1, boundary.shape[0] + 3):
+        field = flexth(mask, dem, DepthConfig("flexth", max_neighbors=k))
+        for (qi, qj), wse in _flexth_oracle(mask, dem, k).items():
+            assert field.wse.values[qi, qj] == pytest.approx(wse, rel=1e-12)
 
 
 def test_flexth_k_exceeding_boundary_uses_all():

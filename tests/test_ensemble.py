@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from floodbench import ensemble
 from floodbench.depth import DepthConfig
 from floodbench.ensemble import (ConfigSpec, PipelineInputs, StageCache,
                                  SweepPlan, build_config_specs,
@@ -154,6 +155,71 @@ def test_failed_mapper_becomes_failed_record(sweep_scene):
     assert "reference" in result.record.reason
 
 
+def test_unexpected_error_becomes_failed_row(tmp_path, sweep_scene,
+                                             monkeypatch):
+    real = ensemble.apply_depth_config
+    broken = DepthConfig("flexth", max_neighbors=10)
+
+    def faulty(mask, dem, cfg, aux=None):
+        if cfg == broken:
+            raise RuntimeError("injected fault")
+        return real(mask, dem, cfg, aux)
+
+    monkeypatch.setattr(ensemble, "apply_depth_config", faulty)
+    depths = [DepthConfig("fwdet", smoothing_iterations=3),
+              DepthConfig("flexth", max_neighbors=5), broken,
+              DepthConfig("flexth", max_neighbors=20)]
+    configs = build_config_specs(
+        [FilterConfig("none")],
+        [(MapperConfig("global_threshold", selector="otsu"),
+          MorphologyConfig(False))], depths)
+    manifest = sweep(SweepPlan(scene_inputs(sweep_scene), configs,
+                               str(tmp_path / "out"), jobs=2))
+    rows = read_manifest(manifest)
+    assert [r["config_id"] for r in rows] == [c.config_id for c in configs]
+    assert [r["status"] for r in rows] == ["ok", "ok", "failed", "ok"]
+    assert rows[2]["reason"] == "internal: RuntimeError: injected fault"
+
+
+def test_base_exception_still_propagates(sweep_scene, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ensemble, "apply_mapper_config", interrupted)
+    cfg = ConfigSpec(FilterConfig("none"),
+                     MapperConfig("global_threshold", selector="otsu"),
+                     MorphologyConfig(False))
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(scene_inputs(sweep_scene), cfg, StageCache())
+
+
+@pytest.mark.parametrize("stage", ["filter", "map", "depth", None])
+def test_version_bump_turns_hit_into_miss(tmp_path, sweep_scene,
+                                          monkeypatch, stage):
+    inputs = scene_inputs(sweep_scene)
+    cfg = ConfigSpec(FilterConfig("median", k=1),
+                     MapperConfig("global_threshold", selector="otsu"),
+                     MorphologyConfig(False),
+                     DepthConfig("fwdet", smoothing_iterations=3))
+    cache = StageCache(str(tmp_path / "cache"))
+    run_pipeline(inputs, cfg, cache)
+    assert (cache.hits, cache.misses) == (0, 3)
+    run_pipeline(inputs, cfg, cache)
+    assert (cache.hits, cache.misses) == (3, 3)
+    if stage is None:
+        # a cache-format bump invalidates every stage
+        monkeypatch.setattr(ensemble, "CACHE_FORMAT",
+                            ensemble.CACHE_FORMAT + 1)
+        expected = (3, 6)
+    else:
+        monkeypatch.setitem(ensemble.STAGE_VERSIONS, stage,
+                            ensemble.STAGE_VERSIONS[stage] + 1)
+        expected = (5, 4)
+    result = run_pipeline(inputs, cfg, cache)
+    assert result.record.status == "ok"
+    assert (cache.hits, cache.misses) == expected
+
+
 def test_depth_stage_records_rmse(tmp_path, sweep_scene):
     inputs = scene_inputs(sweep_scene)
     inputs.reference_depth = sweep_scene.truth_depth.depth
@@ -200,7 +266,8 @@ def test_sweep_empty_config_list(tmp_path, sweep_scene):
     manifest = sweep(plan)
     rows = read_manifest(manifest)
     assert rows == []
-    header = open(manifest).readline().strip()
+    with open(manifest) as fh:
+        header = fh.readline().strip()
     assert header.startswith("config_id,filter_method,filter_params,"
                              "mapper_method,mapper_params,morph_params,"
                              "depth_method,depth_params,acc,f1,area_km2,"

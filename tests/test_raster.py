@@ -6,12 +6,14 @@ from scipy import ndimage
 
 from floodbench.errors import (GeometryError, InputError, RasterFormatError)
 from floodbench.raster import (ASCII_GRID, FLAT_BINARY, BinaryMask, Raster,
-                               connected_components, local_stats, mask_like,
-                               nearest_feature, read_mask, read_raster,
-                               require_same_grid, write_mask, write_raster)
+                               _k_nearest, connected_components, local_stats,
+                               mask_like, nearest_feature, read_mask,
+                               read_raster, require_same_grid, write_mask,
+                               write_raster)
 
 from conftest import random_mask, random_raster
-from test_oracles import reflect_index
+from test_oracles import (RING_EXTRAS, rank_oracle, reflect_index,
+                          ring_325, ring_sources)
 
 
 def test_ascii_grid_trivial_parse(tmp_path):
@@ -332,6 +334,68 @@ def test_nearest_triangle_inequality():
     for (qi, qj), d in zip(queries.tolist(), res.distance):
         for si, sj in sources.tolist():
             assert d <= np.hypot(qi - si, qj - sj) + 1e-9
+
+
+def _check_k_nearest(src, queries, k):
+    idx, d2 = _k_nearest(src, queries, k)
+    expect = rank_oracle(src, queries, k)
+    assert idx.shape == d2.shape == (len(queries), k)
+    assert np.array_equal(idx, expect)
+    diff = queries[:, None, :] - src[expect]
+    assert np.array_equal(d2, (diff * diff).sum(axis=2))
+
+
+# the ring's centre, cells next to it, and cells far outside on and off
+# its symmetry axes
+RING_QUERIES = np.array([[50, 50], [50, 51], [51, 51], [49, 52], [52, 50],
+                         [50, 400], [-300, -300], [350, 57], [40, -200]])
+
+
+@pytest.mark.parametrize("extra", RING_EXTRAS)
+def test_k_nearest_ring_ties_follow_row_col_order(extra):
+    src = ring_sources(extra)
+    for k in range(1, src.shape[0] + 1):
+        _check_k_nearest(src, RING_QUERIES, k)
+
+
+def test_k_nearest_lattice_ties_follow_row_col_order():
+    # every query of a regular lattice has ties at almost every rank
+    src = np.array([[r, c] for r in range(0, 15, 3) for c in range(0, 15, 3)])
+    queries = np.array([[i, j] for i in range(-4, 19) for j in range(-4, 19)])
+    for k in range(1, src.shape[0] + 1):
+        _check_k_nearest(src, queries, k)
+
+
+def test_k_nearest_empty_queries():
+    src = ring_325(50, 50)
+    idx, d2 = _k_nearest(src, np.empty((0, 2), dtype=np.int64), 3)
+    assert idx.shape == d2.shape == (0, 3)
+    res = nearest_feature(src, np.empty((0, 2), dtype=np.int64))
+    assert res.cells.shape == (0, 2) and res.distance.shape == (0,)
+
+
+def test_nearest_duplicate_sources():
+    rng = np.random.default_rng(14)
+    base = rng.integers(0, 20, size=(10, 2))
+    sources = np.concatenate([base, base[:6], base[:2]])
+    queries = np.array([[i, j] for i in range(-2, 22) for j in range(-2, 22)])
+    res = nearest_feature(sources, queries)
+    cells, dist = _nearest_oracle(sources, queries)
+    assert np.array_equal(res.cells, cells)
+    assert np.array_equal(res.distance, dist)
+    src = sources[np.lexsort((sources[:, 1], sources[:, 0]))]
+    for k in (1, 2, 9, src.shape[0]):
+        _check_k_nearest(src, queries, k)
+
+
+@pytest.mark.parametrize("extra", RING_EXTRAS)
+def test_nearest_on_ring_ties_matches_oracle(extra):
+    src = ring_sources(extra)
+    res = nearest_feature(src[::-1], RING_QUERIES)
+    cells, dist = _nearest_oracle(src, RING_QUERIES)
+    assert np.array_equal(res.cells, cells)
+    assert np.array_equal(res.distance, dist)
+    assert res.cells[0].tolist() == ring_325(50, 50)[0].tolist()
 
 
 def test_mask_like_copies_geometry():
