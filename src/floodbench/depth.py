@@ -182,9 +182,9 @@ def flexth(mask: BinaryMask, dem: Raster, cfg: DepthConfig,
     exceeds the boundary size). Distances are Euclidean in cells with a
     floor of one cell; weights are 1/d normalized over the K neighbors,
     summed nearest first. When an exclusion mask is given, the
-    flood first grows ring by ring into adjacent exclusion cells until no
-    exclusion cell borders the flood, and the grown cells receive
-    interpolated surfaces like any other flooded cell.
+    flood first grows through every exclusion cell 4-connected to it, and
+    the grown cells receive interpolated surfaces like any other flooded
+    cell.
     """
     work = mask if exclusion is None else expand_into_exclusion(mask, exclusion)
     boundary = extract_boundary(work, dem, cfg.slope_threshold)
@@ -204,19 +204,16 @@ def flexth(mask: BinaryMask, dem: Raster, cfg: DepthConfig,
 
 
 def expand_into_exclusion(mask: BinaryMask, exclusion: BinaryMask) -> BinaryMask:
-    """Grow the flood one 4-connected ring at a time into exclusion cells."""
+    """Flood every exclusion cell 4-connected to the flood through
+    exclusion cells: the components of flood | exclusion (one 4-connected
+    labelling) that hold a flooded cell."""
     require_same_grid(mask, exclusion, "mask and exclusion mask")
     fl = mask.values == FLOODED
-    excl = (exclusion.values == FLOODED) & ~fl
-    grown = fl.copy()
-    struct = ndimage.generate_binary_structure(2, 1)
-    while True:
-        ring = ndimage.binary_dilation(grown, structure=struct) & excl & ~grown
-        if not ring.any():
-            break
-        grown |= ring
+    labels, n = ndimage.label(fl | (exclusion.values == FLOODED))
+    touches = np.zeros(n + 1, dtype=bool)
+    touches[labels[fl]] = True
     out = np.array(mask.values)
-    out[grown & (out != FLOODED)] = FLOODED
+    out[touches[labels]] = FLOODED
     return mask.like(out)
 
 

@@ -4,13 +4,19 @@ The hyperparameter grid enumerates to exactly 26 filter configurations,
 48 mapper configurations (432 with the 9-point morphology grid), and 19
 depth configurations. Sweeps run the filter -> map -> morphology ->
 optional depth -> metrics pipeline for every configuration under a
-bounded thread pool, with stage outputs cached by content hash so shared
-prefixes compute once. Failed configurations become failed records and
-never abort a sweep.
+bounded thread pool. Every stage output is a node of one StageCache,
+keyed on its stage version, its parameters and its parents, so shared
+prefixes compute once: the filtered image, the base mask of a mapper
+(shared by its morphology variants, whose node keys on the base node's
+key), the local-threshold tile table of a filtered image and tile size
+(shared by all 18 AD/BC/SR gates), and the depth field of a mask (keyed
+on the mask's content, so equal masks from different mappers share it).
+Failed configurations become failed records and never abort a sweep.
 """
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import json
 import logging
@@ -24,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import metrics
+from . import mapping, metrics
 from .depth import (DepthAux, DepthConfig, DepthField, TABLE_NEIGHBORS,
                     TABLE_SLOPE, TABLE_SMOOTHING, apply_depth_config,
                     read_cross_sections)
@@ -86,7 +92,7 @@ class ConfigSpec:
     morphology: MorphologyConfig
     depth: DepthConfig | None = None
 
-    @property
+    @functools.cached_property
     def config_id(self) -> str:
         payload = {"filter": asdict(self.filter),
                    "mapper": asdict(self.mapper),
@@ -148,12 +154,10 @@ def enumerate_mappers(with_morphology: bool = False,
     mappers += [MapperConfig("change_detection", selector=s)
                 for s in ("otsu", "ki")]
     if include_external:
-        mappers.append(MapperConfig(
-            "external_mask", external_label="cnn",
-            external_path=cnn_path or EXTERNAL_MASK_PLACEHOLDER % "cnn"))
-        mappers.append(MapperConfig(
-            "external_mask", external_label="rf",
-            external_path=rf_path or EXTERNAL_MASK_PLACEHOLDER % "rf"))
+        mappers += [MapperConfig("external_mask", external_label=label,
+                                 external_path=path
+                                 or EXTERNAL_MASK_PLACEHOLDER % label)
+                    for label, path in (("cnn", cnn_path), ("rf", rf_path))]
     if not with_morphology:
         off = MorphologyConfig(False)
         return [(m, off) for m in mappers]
@@ -173,15 +177,9 @@ def enumerate_depth() -> list[DepthConfig]:
 def build_config_specs(filters, mapper_morphs, depth_configs=None
                        ) -> list[ConfigSpec]:
     """Cross product of stage configurations into pipeline ConfigSpecs."""
-    specs = []
-    for flt in filters:
-        for mapper, morph in mapper_morphs:
-            if depth_configs:
-                for dep in depth_configs:
-                    specs.append(ConfigSpec(flt, mapper, morph, dep))
-            else:
-                specs.append(ConfigSpec(flt, mapper, morph))
-    return specs
+    return [ConfigSpec(flt, mapper, morph, dep) for flt in filters
+            for mapper, morph in mapper_morphs
+            for dep in depth_configs or [None]]
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +275,14 @@ def _pack(kind: str, obj) -> dict:
     if kind == "depth":
         return {"geo": _geo_array(obj.depth), "nodata": np.float64(obj.depth.nodata),
                 "depth": obj.depth.values, "wse": obj.wse.values}
+    if kind == "tiles":
+        return {"values": obj}
     raise InputError("unknown cache kind %r" % kind)
 
 
 def _unpack(kind: str, data):
+    if kind == "tiles":
+        return np.array(data["values"])
     geo = data["geo"]
     w, h = int(geo[0]), int(geo[1])
     cell, ox, oy = float(geo[2]), float(geo[3]), float(geo[4])
@@ -352,7 +354,8 @@ class PipelineResult:
 # bit, and CACHE_FORMAT whenever the entry layout changes, so entries written
 # by older code are misses rather than stale hits.
 CACHE_FORMAT = 1
-STAGE_VERSIONS = {"filter": 1, "filter_ref": 1, "map": 1, "depth": 1}
+STAGE_VERSIONS = {"filter": 1, "filter_ref": 1, "map": 1, "morph": 1,
+                  "tiles": 1, "depth": 1}
 
 
 def _stage_key(stage: str, cfg_payload, *digests: str) -> str:
@@ -361,51 +364,83 @@ def _stage_key(stage: str, cfg_payload, *digests: str) -> str:
          list(digests)]).encode())
 
 
-def _filtered_flood(inputs: PipelineInputs, cfg: ConfigSpec,
-                    cache: StageCache) -> Raster:
-    model = SpeckleModel(inputs.looks)
-    if cfg.filter.method == "external":
-        in_digest = digest_file(cfg.filter.path)
-    else:
-        in_digest = inputs.digest("flood")
-    key = _stage_key("filter", asdict(cfg.filter), in_digest,
-                     canonical_json(inputs.looks))
-    out, hit = cache.get_or_compute(
-        key, "raster",
-        lambda: apply_filter_config(inputs.flood, cfg.filter, model))
-    log.info("stage=filter config=%s status=%s",
-             cfg.filter.describe(), "cached" if hit else "computed")
-    return out
+def _node(cache: StageCache, stage: str, params, parents, kind: str,
+          compute, label: str):
+    """The versioned key of one stage output, from its parameters and its
+    parents' keys or digests, and a getter that loads or computes it."""
+    key = _stage_key(stage, params, *parents)
+
+    def get():
+        obj, hit = cache.get_or_compute(key, kind, compute)
+        log.info("stage=%s config=%s status=%s", stage, label,
+                 "cached" if hit else "computed")
+        return obj
+    return key, get
 
 
-def _filtered_reference(inputs: PipelineInputs, cfg: ConfigSpec,
-                        cache: StageCache) -> Raster:
-    if inputs.reference is None:
+def _filtered(inputs: PipelineInputs, fcfg: FilterConfig, cache: StageCache,
+              stage: str = "filter") -> Raster:
+    """The flood image (stage ``filter``) or the reference image (stage
+    ``filter_ref``) after one filter configuration."""
+    name = "reference" if stage == "filter_ref" else "flood"
+    image = getattr(inputs, name)
+    if image is None:
         raise InputError("change detection requires a reference image")
-    model = SpeckleModel(inputs.looks)
-    fcfg = cfg.filter
-    if fcfg.method == "external":
+    if fcfg.method == "external" and name == "reference":
         if inputs.external_reference_path:
             fcfg = FilterConfig("external",
                                 path=inputs.external_reference_path)
-            in_digest = digest_file(fcfg.path)
         else:
             # no externally despeckled reference supplied: fall back to the
             # raw reference image for the log-ratio
             log.info("stage=filter_ref config=%s status=fallback_unfiltered",
-                     cfg.filter.describe())
+                     fcfg.describe())
             fcfg = FilterConfig("none")
-            in_digest = inputs.digest("reference")
-    else:
-        in_digest = inputs.digest("reference")
-    key = _stage_key("filter_ref", asdict(fcfg), in_digest,
-                     canonical_json(inputs.looks))
-    out, hit = cache.get_or_compute(
-        key, "raster",
-        lambda: apply_filter_config(inputs.reference, fcfg, model))
-    log.info("stage=filter_ref config=%s status=%s",
-             fcfg.describe(), "cached" if hit else "computed")
-    return out
+    in_digest = digest_file(fcfg.path) if fcfg.method == "external" \
+        else inputs.digest(name)
+    model = SpeckleModel(inputs.looks)
+    return _node(cache, stage, asdict(fcfg),
+                 [in_digest, canonical_json(inputs.looks)], "raster",
+                 lambda: apply_filter_config(image, fcfg, model),
+                 fcfg.describe())[1]()
+
+
+def _mask(inputs: PipelineInputs, cfg: ConfigSpec,
+          cache: StageCache) -> BinaryMask:
+    """filter -> base mask -> morphology. The morph node keys on the base
+    node's key and loads the base mask only when it computes."""
+    filtered = _filtered(inputs, cfg.filter, cache)
+    mapper = cfg.mapper
+    reference = (_filtered(inputs, cfg.filter, cache, "filter_ref")
+                 if mapper.method == "change_detection" else None)
+    parents = [digest_raster(filtered)]
+    if reference is not None:
+        parents.append(digest_raster(reference))
+    if mapper.method == "active_contour":
+        parents.append(inputs.digest("permanent_water"))
+    if mapper.method == "external_mask":
+        parents.append(digest_file(mapper.external_path))
+
+    def base_mask():
+        scores = None
+        if mapper.method == "local_threshold":
+            side = mapper.min_tile_side
+            scores = _node(cache, "tiles", side, parents[:1], "tiles",
+                           lambda: mapping.tile_scores(
+                               mapping.to_db(filtered), side),
+                           "tile=%d" % side)[1]()
+        return apply_mapper_config(
+            filtered, mapper,
+            aux=MapperAux(reference, inputs.permanent_water, scores))
+
+    base_key, base = _node(cache, "map", asdict(mapper), parents, "mask",
+                           base_mask, mapper.describe())
+    if not cfg.morphology.enabled:
+        return base()
+    morph = cfg.morphology
+    return _node(cache, "morph", asdict(morph), [base_key], "mask",
+                 lambda: mapping.apply_morphology(base(), morph),
+                 morph.describe())[1]()
 
 
 def run_pipeline(inputs: PipelineInputs, cfg: ConfigSpec,
@@ -433,26 +468,7 @@ def run_pipeline(inputs: PipelineInputs, cfg: ConfigSpec,
     mask = None
     dfield = None
     try:
-        filtered = _filtered_flood(inputs, cfg, cache)
-        aux = MapperAux(
-            reference=(_filtered_reference(inputs, cfg, cache)
-                       if cfg.mapper.method == "change_detection" else None),
-            permanent_water=inputs.permanent_water)
-        map_digests = [digest_raster(filtered)]
-        if aux.reference is not None:
-            map_digests.append(digest_raster(aux.reference))
-        if cfg.mapper.method == "active_contour":
-            map_digests.append(inputs.digest("permanent_water"))
-        if cfg.mapper.method == "external_mask":
-            map_digests.append(digest_file(cfg.mapper.external_path))
-        key = _stage_key("map", [asdict(cfg.mapper), asdict(cfg.morphology)],
-                         *map_digests)
-        mask, hit = cache.get_or_compute(
-            key, "mask",
-            lambda: apply_mapper_config(filtered, cfg.mapper, cfg.morphology,
-                                        aux))
-        log.info("stage=map config=%s status=%s",
-                 cfg.mapper.describe(), "cached" if hit else "computed")
+        mask = _mask(inputs, cfg, cache)
         rec.area_km2 = flooded_area_km2(mask)
         if inputs.reference_mask is not None:
             counts = confusion(mask, inputs.reference_mask,
@@ -464,18 +480,16 @@ def run_pipeline(inputs: PipelineInputs, cfg: ConfigSpec,
         if cfg.depth is not None:
             if inputs.dem is None:
                 raise InputError("depth estimation requires a DEM")
-            dkey = _stage_key("depth", asdict(cfg.depth), digest_mask(mask),
-                              inputs.digest("dem"),
-                              inputs.digest("exclusion"),
-                              canonical_json([list(s.vertices)
-                                              for s in inputs.sections]))
-            dfield, dhit = cache.get_or_compute(
-                dkey, "depth",
+            dfield = _node(
+                cache, "depth", asdict(cfg.depth),
+                [digest_mask(mask), inputs.digest("dem"),
+                 inputs.digest("exclusion"),
+                 canonical_json([list(s.vertices) for s in inputs.sections])],
+                "depth",
                 lambda: apply_depth_config(
                     mask, inputs.dem, cfg.depth,
-                    DepthAux(inputs.exclusion, tuple(inputs.sections))).field)
-            log.info("stage=depth config=%s status=%s",
-                     cfg.depth.describe(), "cached" if dhit else "computed")
+                    DepthAux(inputs.exclusion, tuple(inputs.sections))).field,
+                cfg.depth.describe())[1]()
             if inputs.reference_depth is not None:
                 rec.rmse_m = depth_rmse(dfield, inputs.reference_depth)
             elif inputs.watermarks is not None:
@@ -520,9 +534,11 @@ def sweep(plan: SweepPlan) -> str:
     """Run every configuration of a plan; returns the manifest CSV path.
 
     Rows are appended in plan order through a single writer thread, and
-    each result is released once its row is written.
-    Reruns reuse the stage cache, so an interrupted sweep resumed with the
-    same cache directory recomputes only missing stages.
+    each result is released once its row is written. They go to a temp
+    file that replaces ``manifest.csv`` only when every row is written, so
+    an interrupted sweep leaves the previous manifest as it was. Reruns
+    reuse the stage cache, so an interrupted sweep resumed with the same
+    cache directory recomputes only missing stages.
     """
     plan.inputs.validate()
     os.makedirs(plan.out_dir, exist_ok=True)
@@ -532,18 +548,24 @@ def sweep(plan: SweepPlan) -> str:
     manifest = os.path.join(plan.out_dir, "manifest.csv")
     out_dir = plan.out_dir if plan.write_outputs else None
     jobs = max(1, plan.jobs)
-    with open(manifest, "w", newline="") as fh:
-        fh.write(metrics.manifest_header_line() + "\n")
-        if not plan.configs:
-            return manifest
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(
-                lambda cfg: run_pipeline(plan.inputs, cfg, cache, out_dir),
-                plan.configs)
-            for result in results:
-                metrics.append_manifest_row(fh, result.record)
-                log.info("stage=record config=%s status=%s",
-                         result.record.config_id, result.record.status)
+    fd, tmp = tempfile.mkstemp(dir=plan.out_dir, prefix=".manifest-",
+                               suffix=".csv")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(metrics.manifest_header_line() + "\n")
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                results = pool.map(
+                    lambda cfg: run_pipeline(plan.inputs, cfg, cache,
+                                             out_dir),
+                    plan.configs)
+                for result in results:
+                    metrics.append_manifest_row(fh, result.record)
+                    log.info("stage=record config=%s status=%s",
+                             result.record.config_id, result.record.status)
+        os.replace(tmp, manifest)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     log.info("stage=sweep status=done records=%d cache_hits=%d "
              "cache_misses=%d", len(plan.configs), cache.hits, cache.misses)
     return manifest
@@ -622,96 +644,71 @@ def read_sweep_plan(path: str, out_dir: str | None = None,
         raise InputError("plan needs an [inputs] section with a flood image")
     sec = parser["inputs"]
 
-    def opt_path(key: str) -> str | None:
-        return _plan_path(base, sec.get(key)) if sec.get(key) else None
+    def opt(key: str, reader=None):
+        value = _plan_path(base, sec.get(key)) if sec.get(key) else None
+        return reader(value) if reader and value else value
 
-    flood = read_raster(_plan_path(base, sec.get("flood")))
     inputs = PipelineInputs(
-        flood=flood,
-        reference=(read_raster(opt_path("reference"))
-                   if sec.get("reference") else None),
-        dem=read_raster(opt_path("dem")) if sec.get("dem") else None,
-        reference_mask=(read_mask(opt_path("truth_mask"))
-                        if sec.get("truth_mask") else None),
-        permanent_water=(read_mask(opt_path("permanent_water"))
-                         if sec.get("permanent_water") else None),
-        exclusion=(read_mask(opt_path("exclusion"))
-                   if sec.get("exclusion") else None),
-        reference_depth=(read_raster(opt_path("reference_depth"))
-                         if sec.get("reference_depth") else None),
-        watermarks=(read_watermarks(opt_path("watermarks"))
-                    if sec.get("watermarks") else None),
-        sections=(tuple(read_cross_sections(opt_path("sections")))
-                  if sec.get("sections") else ()),
-        external_reference_path=opt_path("external_despeckled_reference"))
+        flood=read_raster(opt("flood")),
+        reference=opt("reference", read_raster),
+        dem=opt("dem", read_raster),
+        reference_mask=opt("truth_mask", read_mask),
+        permanent_water=opt("permanent_water", read_mask),
+        exclusion=opt("exclusion", read_mask),
+        reference_depth=opt("reference_depth", read_raster),
+        watermarks=opt("watermarks", read_watermarks),
+        sections=tuple(opt("sections", read_cross_sections) or ()),
+        external_reference_path=opt("external_despeckled_reference"))
 
-    looks = 1.0
-    filter_methods = None
-    if parser.has_section("filters"):
-        fsec = parser["filters"]
-        looks = fsec.getfloat("looks", fallback=1.0)
-        if fsec.get("methods"):
-            filter_methods = [m.strip() for m in
-                              fsec.get("methods").split(",") if m.strip()]
-    inputs.looks = looks
+    def methods(section: str) -> list[str] | None:
+        raw = parser.get(section, "methods", fallback="")
+        return [m.strip() for m in raw.split(",") if m.strip()] if raw \
+            else None
 
-    external_despeckled = opt_path("external_despeckled")
+    inputs.looks = parser.getfloat("filters", "looks", fallback=1.0)
+    external_despeckled = opt("external_despeckled")
     filters = enumerate_filters(
         external_path=external_despeckled,
         include_external=external_despeckled is not None)
     if external_despeckled is None:
         log.info("stage=plan status=no_external_despeckle "
                  "detail=filter space shrinks by 1")
-    if filter_methods is not None:
-        filters = [f for f in filters if f.method in filter_methods]
+    keep = methods("filters")
+    if keep is not None:
+        filters = [f for f in filters if f.method in keep]
 
-    mapper_methods = None
-    if parser.has_section("mappers") and parser["mappers"].get("methods"):
-        mapper_methods = [m.strip() for m in
-                          parser["mappers"].get("methods").split(",")
-                          if m.strip()]
-    with_morph = parser.has_section("morphology") and \
-        parser["morphology"].getboolean("enabled", fallback=False)
-    cnn = opt_path("external_mask_cnn")
-    rf = opt_path("external_mask_rf")
+    cnn = opt("external_mask_cnn")
+    rf = opt("external_mask_rf")
     mapper_morphs = enumerate_mappers(
-        with_morphology=with_morph, cnn_path=cnn, rf_path=rf,
+        with_morphology=parser.getboolean("morphology", "enabled",
+                                          fallback=False),
+        cnn_path=cnn, rf_path=rf,
         include_external=cnn is not None or rf is not None)
     if cnn is None and rf is None:
         log.info("stage=plan status=no_external_masks "
                  "detail=mapper space shrinks by 2")
-    if mapper_methods is not None:
+    keep = methods("mappers")
+    if keep is not None:
         mapper_morphs = [(m, mo) for m, mo in mapper_morphs
-                         if m.method in mapper_methods]
+                         if m.method in keep]
 
     depth_configs = None
-    if parser.has_section("depth") and \
-            parser["depth"].getboolean("enabled", fallback=False):
-        depth_configs = enumerate_depth()
-        dmeth = parser["depth"].get("methods")
-        if dmeth:
-            keep = [m.strip() for m in dmeth.split(",") if m.strip()]
-            depth_configs = [d for d in depth_configs if d.method in keep]
-        if not inputs.sections:
-            depth_configs = [d for d in depth_configs
-                             if d.method != "cross_section"]
+    if parser.getboolean("depth", "enabled", fallback=False):
+        keep = methods("depth")
+        depth_configs = [d for d in enumerate_depth()
+                         if (keep is None or d.method in keep)
+                         and (inputs.sections or d.method != "cross_section")]
 
     run_out = out_dir
-    run_jobs = jobs
-    cache_dir = None
-    write_outputs = True
-    if parser.has_section("run"):
-        rsec = parser["run"]
-        if run_out is None and rsec.get("out_dir"):
-            run_out = _plan_path(base, rsec.get("out_dir"))
-        if run_jobs is None:
-            run_jobs = rsec.getint("jobs", fallback=1)
-        if rsec.get("cache_dir"):
-            cache_dir = _plan_path(base, rsec.get("cache_dir"))
-        write_outputs = rsec.getboolean("write_outputs", fallback=True)
+    if run_out is None and parser.get("run", "out_dir", fallback=""):
+        run_out = _plan_path(base, parser.get("run", "out_dir"))
     if run_out is None:
         raise InputError("plan has no output directory (use [run] out_dir "
                          "or --out-dir)")
+    if jobs is None:
+        jobs = parser.getint("run", "jobs", fallback=1)
+    cache_dir = parser.get("run", "cache_dir", fallback="")
     configs = build_config_specs(filters, mapper_morphs, depth_configs)
-    return SweepPlan(inputs, configs, run_out, run_jobs or 1, cache_dir,
-                     write_outputs)
+    return SweepPlan(inputs, configs, run_out, jobs or 1,
+                     _plan_path(base, cache_dir) if cache_dir else None,
+                     parser.getboolean("run", "write_outputs", fallback=True))

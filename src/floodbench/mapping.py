@@ -7,7 +7,6 @@ are those at or below the selected threshold.
 """
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
 from dataclasses import dataclass
@@ -437,48 +436,48 @@ class MapperConfig:
 # ---------------------------------------------------------------------------
 # local thresholding
 
-# tile fits depend only on the tile sample, so they are memoized across
-# acceptance-threshold variants of the same image
-_FIT_CACHE: dict = {}
-_FIT_CACHE_MAX = 4096
+def tile_scores(raster_db: Raster, min_side: int) -> np.ndarray:
+    """Bimodality table of a dB image's quad-tree tiles at every level.
+
+    One float64 row per tile: row0, col0, height, width, then the AD, BC
+    and SR scores of its two-Gaussian fit. A tile with fewer than
+    EM_MIN_SAMPLES finite cells, or whose fit is degenerate, scores zero.
+    """
+    fin = raster_db.finite
+    v = raster_db.values
+    tiles = quadtree_tiles(raster_db, min_side)
+    table = np.zeros((len(tiles), 7))
+    for row, tile in zip(table, tiles):
+        rows = slice(tile.row0, tile.row0 + tile.height)
+        cols = slice(tile.col0, tile.col0 + tile.width)
+        good = v[rows, cols][fin[rows, cols]]
+        row[:4] = tile[:4]
+        if good.size >= EM_MIN_SAMPLES:
+            row[4:] = fit_two_gaussians(good)[1]
+    return table
 
 
-def _tile_scores(values: np.ndarray, fin: np.ndarray, tile: Tile):
-    sub = values[tile.row0:tile.row0 + tile.height,
-                 tile.col0:tile.col0 + tile.width]
-    good = sub[fin[tile.row0:tile.row0 + tile.height,
-                   tile.col0:tile.col0 + tile.width]]
-    if good.size < EM_MIN_SAMPLES or np.unique(good).size < 2:
-        return _DEGENERATE_SCORES
-    key = (hashlib.sha1(good.tobytes()).hexdigest(), good.size)
-    hit = _FIT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    _, scores = fit_two_gaussians(good)
-    if len(_FIT_CACHE) >= _FIT_CACHE_MAX:
-        _FIT_CACHE.clear()
-    _FIT_CACHE[key] = scores
-    return scores
-
-
-def local_threshold_map(raster_db: Raster, cfg: MapperConfig) -> BinaryMask:
+def local_threshold_map(raster_db: Raster, cfg: MapperConfig,
+                        scores: np.ndarray | None = None) -> BinaryMask:
     """Quad-tree tile selection, pooled KI threshold, global application.
 
     Tiles at every level are accepted when their two-Gaussian fit passes
     AD >= ad_min, BC >= bc_min, and SR >= sr_min. The union of accepted
     tile cells feeds one KI threshold that is applied to the whole image.
+    ``scores`` is the image's ``tile_scores`` at ``cfg.min_tile_side``,
+    computed here when not given.
     """
     if cfg.method != "local_threshold":
         raise InputError("config is not a local-threshold config")
+    if scores is None:
+        scores = tile_scores(raster_db, cfg.min_tile_side)
     fin = raster_db.finite
     v = raster_db.values
+    passed = (scores[:, 4] >= cfg.ad_min) & (scores[:, 5] >= cfg.bc_min) \
+        & (scores[:, 6] >= cfg.sr_min)
     accept = np.zeros(v.shape, dtype=bool)
-    for tile in quadtree_tiles(raster_db, cfg.min_tile_side):
-        scores = _tile_scores(v, fin, tile)
-        if scores.ashman_d >= cfg.ad_min and scores.bhattacharyya >= cfg.bc_min \
-                and scores.surface_ratio >= cfg.sr_min:
-            accept[tile.row0:tile.row0 + tile.height,
-                   tile.col0:tile.col0 + tile.width] = True
+    for r0, c0, h, w in scores[passed, :4].astype(np.int64):
+        accept[r0:r0 + h, c0:c0 + w] = True
     pooled = v[accept & fin]
     if pooled.size == 0:
         raise DegenerateError("no bimodal tiles")
@@ -681,14 +680,16 @@ def apply_morphology(mask: BinaryMask, morph: MorphologyConfig) -> BinaryMask:
 
 @dataclass(frozen=True)
 class MapperAux:
-    """Side inputs a mapper may need, all linear-intensity or mask grids."""
+    """Side inputs a mapper may need: linear-intensity or mask grids, and
+    the local-threshold tile table of the image's dB conversion."""
 
     reference: Raster | None = None
     permanent_water: BinaryMask | None = None
+    tile_scores: np.ndarray | None = None
 
 
 def apply_mapper_config(image: Raster, cfg: MapperConfig,
-                        morph: MorphologyConfig,
+                        morph: MorphologyConfig = MorphologyConfig(),
                         aux: MapperAux | None = None) -> BinaryMask:
     """Run one mapper on a linear-intensity image, then morphology.
 
@@ -699,7 +700,7 @@ def apply_mapper_config(image: Raster, cfg: MapperConfig,
     if cfg.method == "global_threshold":
         mask = global_threshold_map(to_db(image), cfg.selector)
     elif cfg.method == "local_threshold":
-        mask = local_threshold_map(to_db(image), cfg)
+        mask = local_threshold_map(to_db(image), cfg, aux.tile_scores)
     elif cfg.method == "active_contour":
         if aux.permanent_water is None:
             raise InputError("active contour requires a permanent-water "

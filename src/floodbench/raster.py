@@ -126,9 +126,9 @@ class BinaryMask:
             else:
                 raise InputError("value count mismatch: %d values for %dx%d"
                                  % (v.size, self.width, self.height))
-        codes = np.unique(v)
-        bad = [c for c in codes.tolist() if c not in (DRY, FLOODED, MASK_NODATA)]
-        if bad:
+        if not ((v == DRY) | (v == FLOODED) | (v == MASK_NODATA)).all():
+            bad = [c for c in np.unique(v).tolist()
+                   if c not in (DRY, FLOODED, MASK_NODATA)]
             raise InputError("mask contains codes outside {0, 1, 255}: %r" % bad)
         object.__setattr__(self, "values", _freeze(v.astype(np.uint8)))
 

@@ -2,6 +2,7 @@
 K-nearest oracles."""
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from floodbench.depth import (CrossSection, DepthAux, DepthConfig,
                               apply_depth_config, cross_section_depth,
@@ -310,6 +311,53 @@ def test_expand_into_exclusion_grows_to_closure():
     grown = expand_into_exclusion(mask, exclusion)
     assert np.all(grown.values[3:5, 0:6] == 1)
     assert grown.flooded_count() == mask.flooded_count() + 6
+
+
+def _expand_ring_oracle(mask, exclusion):
+    """Grow the flood one 4-connected ring at a time into exclusion cells
+    until no exclusion cell borders it."""
+    fl = mask.values == FLOODED
+    excl = (exclusion.values == FLOODED) & ~fl
+    grown = fl.copy()
+    struct = ndimage.generate_binary_structure(2, 1)
+    while True:
+        ring = ndimage.binary_dilation(grown, structure=struct) & excl & ~grown
+        if not ring.any():
+            break
+        grown |= ring
+    out = np.array(mask.values)
+    out[grown & (out != FLOODED)] = FLOODED
+    return out
+
+
+def test_expand_into_exclusion_matches_ring_oracle():
+    rng = np.random.default_rng(1206)
+    cases = []
+    for trial in range(30):
+        h, w = rng.integers(5, 40, size=2)
+        codes = rng.choice([DRY, FLOODED, MASK_NODATA], size=(h, w),
+                           p=[0.6, 0.15, 0.25])
+        excl = (rng.random((h, w)) < rng.uniform(0.2, 0.7)).astype(np.uint8)
+        cases.append((codes, excl))
+    # a diagonal-only contact never grows; an island away from the flood
+    # stays dry; a nodata cell inside the exclusion grows like a dry one
+    codes = np.zeros((6, 6), dtype=np.uint8)
+    codes[0, 0] = codes[5, 0] = FLOODED
+    codes[3, 2] = MASK_NODATA
+    excl = np.zeros((6, 6), dtype=np.uint8)
+    excl[1, 1] = 1
+    excl[1, 4:6] = 1
+    excl[5, 1:3] = excl[3:5, 2] = 1
+    cases.append((codes, excl))
+    for codes, excl in cases:
+        h, w = codes.shape
+        mask = BinaryMask(w, h, 10.0, 0.0, 0.0, codes)
+        exclusion = BinaryMask(w, h, 10.0, 0.0, 0.0, excl)
+        assert np.array_equal(expand_into_exclusion(mask, exclusion).values,
+                              _expand_ring_oracle(mask, exclusion))
+    grown = expand_into_exclusion(mask, exclusion).values
+    assert grown[1, 1] == DRY and grown[1, 4] == grown[1, 5] == DRY
+    assert np.all(grown[5, 1:3] == FLOODED) and np.all(grown[3:5, 2] == FLOODED)
 
 
 def test_flexth_expansion_assigns_depths_in_exclusion(smooth_valley):

@@ -19,7 +19,7 @@ from floodbench.metrics import MetricsRecord, read_manifest
 from floodbench.speckle import FilterConfig
 from floodbench.synth import write_scene
 
-from conftest import sweep_scene  # noqa: F401
+from conftest import mapping_scene, sweep_scene  # noqa: F401
 
 
 def manifest_multiset(rows):
@@ -220,6 +220,96 @@ def test_version_bump_turns_hit_into_miss(tmp_path, sweep_scene,
     assert (cache.hits, cache.misses) == expected
 
 
+def test_morphology_variants_share_one_base_mask(sweep_scene, monkeypatch):
+    calls = []
+    real = ensemble.apply_mapper_config
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "apply_mapper_config", counted)
+    inputs = scene_inputs(sweep_scene)
+    cache = StageCache()
+    mapper = MapperConfig("active_contour", chan_vese=ChanVeseParams(0.1))
+    morphs = [MorphologyConfig(False)] + ensemble.morphology_grid()
+    configs = build_config_specs([FilterConfig("median", k=1)],
+                                 [(mapper, m) for m in morphs])
+    results = [run_pipeline(inputs, cfg, cache) for cfg in configs]
+    assert calls == [mapper]
+    assert all(r.record.status == "ok" for r in results)
+    base = results[0].mask
+    for cfg, result in zip(configs[1:], results[1:]):
+        expected = ensemble.mapping.apply_morphology(base, cfg.morphology)
+        assert np.array_equal(result.mask.values, expected.values)
+
+
+def test_local_threshold_gates_share_one_tile_table(tmp_path, mapping_scene,
+                                                    monkeypatch):
+    from floodbench import mapping
+    fits = []
+    real = mapping.fit_two_gaussians
+
+    def counted(values, *args, **kwargs):
+        fits.append(np.asarray(values).size)
+        return real(values, *args, **kwargs)
+
+    monkeypatch.setattr(mapping, "fit_two_gaussians", counted)
+    inputs = PipelineInputs(flood=mapping_scene.speckled_intensity,
+                            looks=mapping_scene.spec.looks)
+    local = [(m, mo) for m, mo in enumerate_mappers(include_external=False)
+             if m.method == "local_threshold"]
+    configs = build_config_specs([FilterConfig("lee", k=1)], local)
+    assert len(configs) == 36
+    cache = StageCache(str(tmp_path / "cache"))
+    first = [run_pipeline(inputs, cfg, cache).record for cfg in configs]
+    # 256 x 256: five tiles at min side 100, the whole image at 200
+    assert len(fits) == 5 + 1
+    fits.clear()
+    again = [run_pipeline(inputs, cfg, cache).record for cfg in configs]
+    assert fits == []
+    assert [(r.status, r.f1) for r in again] == [(r.status, r.f1)
+                                                 for r in first]
+
+
+def test_morph_version_bump_misses_only_morph(tmp_path, sweep_scene,
+                                              monkeypatch):
+    calls = []
+    real_map = ensemble.apply_mapper_config
+    real_morph = ensemble.mapping.apply_morphology
+
+    def counted_map(*args, **kwargs):
+        calls.append("map")
+        return real_map(*args, **kwargs)
+
+    def counted_morph(mask, morph):
+        if morph.enabled:
+            calls.append("morph")
+        return real_morph(mask, morph)
+
+    monkeypatch.setattr(ensemble, "apply_mapper_config", counted_map)
+    monkeypatch.setattr(ensemble.mapping, "apply_morphology", counted_morph)
+    inputs = scene_inputs(sweep_scene)
+    cfg = ConfigSpec(FilterConfig("median", k=1),
+                     MapperConfig("global_threshold", selector="otsu"),
+                     MorphologyConfig(True, 50, 50),
+                     DepthConfig("fwdet", smoothing_iterations=3))
+    cache = StageCache(str(tmp_path / "cache"))
+    first = run_pipeline(inputs, cfg, cache)
+    assert (cache.hits, cache.misses) == (0, 4)
+    run_pipeline(inputs, cfg, cache)
+    # a warm morphology hit loads neither the base mask nor recomputes it
+    assert (cache.hits, cache.misses) == (3, 4)
+    monkeypatch.setitem(ensemble.STAGE_VERSIONS, "morph",
+                        ensemble.STAGE_VERSIONS["morph"] + 1)
+    bumped = run_pipeline(inputs, cfg, cache)
+    # filter and base mask and depth hit; morphology recomputes
+    assert (cache.hits, cache.misses) == (6, 5)
+    assert calls == ["map", "morph", "morph"]
+    assert np.array_equal(bumped.mask.values, first.mask.values)
+    assert bumped.record.rmse_m == first.record.rmse_m
+
+
 def test_depth_stage_records_rmse(tmp_path, sweep_scene):
     inputs = scene_inputs(sweep_scene)
     inputs.reference_depth = sweep_scene.truth_depth.depth
@@ -319,6 +409,43 @@ def test_sweep_resume_completes_manifest(tmp_path, sweep_scene):
                             write_outputs=False))
     assert manifest_multiset(rows) == manifest_multiset(read_manifest(fresh))
     assert cache_before > 0
+
+
+def test_interrupted_sweep_keeps_previous_manifest(tmp_path, sweep_scene,
+                                                   monkeypatch):
+    inputs = scene_inputs(sweep_scene)
+    configs = small_config_set(None)
+    out_dir = str(tmp_path / "out")
+    cache_dir = str(tmp_path / "cache")
+    old = sweep(SweepPlan(inputs, configs[:3], out_dir, cache_dir=cache_dir,
+                          write_outputs=False))
+    with open(old, "rb") as fh:
+        old_bytes = fh.read()
+    real = ensemble.run_pipeline
+    seen = []
+
+    def interrupted(inputs, cfg, cache=None, out_dir=None):
+        seen.append(cfg)
+        if len(seen) == 7:
+            raise KeyboardInterrupt
+        return real(inputs, cfg, cache, out_dir)
+
+    monkeypatch.setattr(ensemble, "run_pipeline", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        sweep(SweepPlan(inputs, configs, out_dir, cache_dir=cache_dir,
+                        write_outputs=False))
+    monkeypatch.setattr(ensemble, "run_pipeline", real)
+    with open(old, "rb") as fh:
+        assert fh.read() == old_bytes
+    assert sorted(os.listdir(out_dir)) == ["manifest.csv"]
+    resumed = sweep(SweepPlan(inputs, configs, out_dir, cache_dir=cache_dir,
+                              write_outputs=False))
+    clean = sweep(SweepPlan(inputs, configs, str(tmp_path / "clean"),
+                            cache_dir=str(tmp_path / "c2"),
+                            write_outputs=False))
+    assert manifest_multiset(read_manifest(resumed)) \
+        == manifest_multiset(read_manifest(clean))
+    assert len(read_manifest(resumed)) == len(configs)
 
 
 def test_sweep_writes_per_config_outputs(tmp_path, sweep_scene):

@@ -16,7 +16,7 @@ from floodbench.mapping import (BimodalityScores, ChanVeseParams, MapperAux,
                                 fit_two_gaussians, global_threshold_map,
                                 ki_threshold, local_threshold_map,
                                 otsu_threshold, perimeter8, quadtree_tiles,
-                                remove_patches, to_db)
+                                remove_patches, tile_scores, to_db)
 from floodbench.metrics import confusion, f1
 from floodbench.raster import BinaryMask, Raster, mask_like, write_mask
 from floodbench.synth import SceneSpec, generate_scene
@@ -334,6 +334,37 @@ def test_local_threshold_degenerates_to_global_ki():
     local = local_threshold_map(db, cfg)
     global_ki = global_threshold_map(db, "ki")
     assert np.array_equal(local.values, global_ki.values)
+
+
+def test_tile_scores_table_rows():
+    raster, _ = quadrant_scene(seed=53)
+    values = np.array(to_db(raster).values)
+    values[:, 120:] = -5.0                  # a constant half: zero scores
+    values[120:, :10] = -9999.0             # nodata stays out of the sample
+    db = plain_raster(values)
+    table = tile_scores(db, 60)
+    tiles = quadtree_tiles(db, 60)
+    assert table.shape == (len(tiles), 7) and table.dtype == np.float64
+    for row, tile in zip(table, tiles):
+        assert row[:4].tolist() == list(tile[:4])
+        sub = values[tile.row0:tile.row0 + tile.height,
+                     tile.col0:tile.col0 + tile.width]
+        sample = sub[sub != -9999.0]
+        if tile.col0 >= 120:
+            assert row[4:].tolist() == [0.0, 0.0, 0.0]
+        else:
+            assert row[4:].tolist() == list(fit_two_gaussians(sample)[1])
+
+
+def test_local_threshold_given_table_matches_inline():
+    raster, _ = quadrant_scene(seed=54)
+    db = to_db(raster)
+    table = tile_scores(db, 60)
+    for ad, bc, sr in ((1.9, 0.98, 0.05), (2.1, 0.99, 0.15)):
+        cfg = MapperConfig("local_threshold", min_tile_side=60, ad_min=ad,
+                           bc_min=bc, sr_min=sr)
+        assert np.array_equal(local_threshold_map(db, cfg, table).values,
+                              local_threshold_map(db, cfg).values)
 
 
 # ---------------------------------------------------------------------------
