@@ -430,8 +430,8 @@ def _mask(inputs: PipelineInputs, cfg: ConfigSpec,
                                mapping.to_db(filtered), side),
                            "tile=%d" % side)[1]()
         return apply_mapper_config(
-            filtered, mapper,
-            aux=MapperAux(reference, inputs.permanent_water, scores))
+            filtered, mapper, MorphologyConfig(False),
+            MapperAux(reference, inputs.permanent_water, scores))
 
     base_key, base = _node(cache, "map", asdict(mapper), parents, "mask",
                            base_mask, mapper.describe())

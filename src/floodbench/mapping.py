@@ -689,7 +689,7 @@ class MapperAux:
 
 
 def apply_mapper_config(image: Raster, cfg: MapperConfig,
-                        morph: MorphologyConfig = MorphologyConfig(),
+                        morph: MorphologyConfig,
                         aux: MapperAux | None = None) -> BinaryMask:
     """Run one mapper on a linear-intensity image, then morphology.
 
