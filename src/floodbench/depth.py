@@ -15,8 +15,8 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DegenerateError, InputError
-from .raster import (BinaryMask, DRY, FLOODED, Raster, _k_nearest,
-                     nearest_feature, require_same_grid)
+from .raster import (BinaryMask, DRY, FLOODED, JsonParams, Raster,
+                     _k_nearest, nearest_feature, require_same_grid)
 
 DEPTH_METHODS = ("fwdet", "flexth", "cross_section")
 TABLE_SLOPE = (None, 5.0, 10.0)
@@ -25,7 +25,7 @@ TABLE_NEIGHBORS = (5, 10, 20)
 
 
 @dataclass(frozen=True)
-class DepthConfig:
+class DepthConfig(JsonParams):
     """One water-depth estimation configuration."""
 
     method: str

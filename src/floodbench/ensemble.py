@@ -11,22 +11,25 @@ prefixes compute once: the filtered image, the base mask of a mapper
 key), the local-threshold tile table of a filtered image and tile size
 (shared by all 18 AD/BC/SR gates), and the depth field of a mask (keyed
 on the mask's content, so equal masks from different mappers share it).
-Failed configurations become failed records and never abort a sweep.
+The cache holds recent outputs in a memory tier bounded by
+MEMORY_TIER_BYTES in front of its optional disk tier, so a process reads
+each entry from disk once. Failed configurations become failed records
+and never abort a sweep; a method failure (DegenerateError) is cached
+like an output.
 """
 from __future__ import annotations
 
 import configparser
 import functools
 import hashlib
-import json
 import logging
 import os
-import tempfile
 import threading
 import time
 import zipfile
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,15 +37,16 @@ from . import mapping, metrics
 from .depth import (DepthAux, DepthConfig, DepthField, TABLE_NEIGHBORS,
                     TABLE_SLOPE, TABLE_SMOOTHING, apply_depth_config,
                     read_cross_sections)
-from .errors import FloodbenchError, InputError
+from .errors import DegenerateError, FloodbenchError, InputError
 from .mapping import (ChanVeseParams, MapperAux, MapperConfig,
                       MorphologyConfig, TABLE_AD, TABLE_BC, TABLE_CV_ALPHA,
                       TABLE_MIN_TILE, TABLE_MORPH, TABLE_SR,
                       apply_mapper_config)
 from .metrics import (MetricsRecord, accuracy, confusion, depth_rmse, f1,
                       flooded_area_km2, read_watermarks, rmse_at_points)
-from .raster import (BinaryMask, Raster, read_mask, read_raster,
-                     require_same_grid, write_mask, write_raster)
+from .raster import (BinaryMask, Raster, canonical_json, read_mask,
+                     read_raster, require_same_grid, temp_file, write_mask,
+                     write_raster)
 from .speckle import (FilterConfig, SpeckleModel, TABLE_ALPHA,
                       TABLE_WINDOW_SIDES, TABLE_XI, apply_filter_config)
 
@@ -51,10 +55,9 @@ log = logging.getLogger("floodbench")
 CACHE_ENV = "FLOODBENCH_CACHE_DIR"
 EXTERNAL_FILTER_PLACEHOLDER = "external://sar2sar"
 EXTERNAL_MASK_PLACEHOLDER = "external://%s"
-
-
-def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+# The bound of the StageCache memory tier: the summed .nbytes of the arrays
+# of the entries it holds.
+MEMORY_TIER_BYTES = 256 * 10**6
 
 
 def digest_bytes(*parts: bytes) -> str:
@@ -94,11 +97,13 @@ class ConfigSpec:
 
     @functools.cached_property
     def config_id(self) -> str:
-        payload = {"filter": asdict(self.filter),
-                   "mapper": asdict(self.mapper),
-                   "morphology": asdict(self.morphology),
-                   "depth": asdict(self.depth) if self.depth else None}
-        return digest_bytes(canonical_json(payload).encode())[:16]
+        # canonical_json of {"filter": asdict(filter), ...}, spliced from
+        # the stage configs' own serializations
+        payload = '{"depth":%s,"filter":%s,"mapper":%s,"morphology":%s}' % (
+            self.depth.params_json if self.depth else "null",
+            self.filter.params_json, self.mapper.params_json,
+            self.morphology.params_json)
+        return digest_bytes(payload.encode())[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +191,36 @@ def build_config_specs(filters, mapper_morphs, depth_configs=None
 # stage cache
 
 
-class StageCache:
-    """Content-addressed store of intermediate stage outputs.
+@dataclass(frozen=True)
+class _Failed:
+    """The stored outcome of a compute that raised DegenerateError."""
 
-    Backed by .npz files under a directory (atomic write-temp-then-rename)
-    or by process memory when no directory is given. Keys are content
-    hashes of the stage configuration plus all input digests, so equal
-    keys imply byte-identical outputs.
+    reason: str
+
+
+class StageCache:
+    """Content-addressed store of intermediate stage outputs, in two tiers.
+
+    The memory tier keeps recent entries in least-recently-used order, up
+    to MEMORY_TIER_BYTES of array data; an entry larger than that is not
+    held. With a directory, a disk tier keeps one .npz per key, written
+    through on every compute (atomic write-temp-then-rename). A lookup
+    tries memory, then disk, then computes, and remembers what it loaded
+    or computed, so a process reads an entry from disk at most once unless
+    the memory tier evicted it. Without a directory an evicted entry is
+    recomputed. A compute that raises DegenerateError is stored as a
+    ``failed`` entry that raises the same message on every hit; other
+    errors store nothing. Keys are content hashes of the stage
+    configuration plus all input digests, so equal keys imply
+    byte-identical outputs.
     """
 
     def __init__(self, directory: str | None = None):
         self.directory = directory
         if directory:
             os.makedirs(directory, exist_ok=True)
-        self._mem: dict = {}
+        self._mem: OrderedDict = OrderedDict()  # key -> (entry, bytes)
+        self.held_bytes = 0
         self._locks: dict = {}
         self._guard = threading.Lock()
         self.hits = 0
@@ -213,31 +234,84 @@ class StageCache:
         return os.path.join(self.directory, key + ".npz")
 
     def get_or_compute(self, key: str, kind: str, compute):
-        """Return (object, cache_hit) for the keyed stage output."""
-        with self._lock_for(key):
-            obj = self._load(key, kind)
-            if obj is not None:
-                with self._guard:
-                    self.hits += 1
-                return obj, True
+        """Return (object, cache_hit) for the keyed stage output; a stored
+        failure raises its DegenerateError again."""
+        entry = self._recall(key)
+        if entry is None:
+            with self._lock_for(key):
+                try:
+                    entry = self._recall(key)
+                    if entry is None and self.directory:
+                        entry = self._load(key, kind)
+                        if entry is not None:
+                            self._remember(key, kind, entry)
+                    if entry is None:
+                        return self._compute(key, kind, compute), False
+                finally:
+                    # a thread still waiting on this lock finds the entry
+                    # the holder stored (or computes it again if it was
+                    # too large to hold)
+                    with self._guard:
+                        self._locks.pop(key, None)
+        with self._guard:
+            self.hits += 1
+        if isinstance(entry, _Failed):
+            raise DegenerateError(entry.reason)
+        return entry, True
+
+    def _compute(self, key: str, kind: str, compute):
+        with self._guard:
+            self.misses += 1
+        try:
             obj = compute()
+        except DegenerateError as exc:
+            # deterministic given the key: later lookups raise it again
+            self._keep(key, "failed", _Failed(str(exc)))
+            raise
+        self._keep(key, kind, obj)
+        return obj
+
+    def _keep(self, key: str, kind: str, obj) -> None:
+        if self.directory:
             self._store(key, kind, obj)
-            with self._guard:
-                self.misses += 1
-            return obj, False
+        self._remember(key, kind, obj)
+
+    def _recall(self, key: str):
+        with self._guard:
+            held = self._mem.get(key)
+            if held is None:
+                return None
+            self._mem.move_to_end(key)
+            return held[0]
+
+    def _remember(self, key: str, kind: str, obj) -> None:
+        if isinstance(obj, np.ndarray):
+            # the tile table; Raster and BinaryMask values are read-only
+            obj.flags.writeable = False
+        if isinstance(obj, _Failed):
+            kind = "failed"
+        size = sum(np.asarray(v).nbytes for v in _pack(kind, obj).values())
+        if size > MEMORY_TIER_BYTES:
+            return
+        with self._guard:
+            if key in self._mem:
+                self.held_bytes -= self._mem.pop(key)[1]
+            self._mem[key] = (obj, size)
+            self.held_bytes += size
+            while self.held_bytes > MEMORY_TIER_BYTES:
+                self.held_bytes -= self._mem.popitem(last=False)[1][1]
 
     def _load(self, key: str, kind: str):
-        if not self.directory:
-            return self._mem.get(key)
         path = self._path(key)
         if not os.path.exists(path):
             return None
         try:
             # np.load leaves its own handle open on a truncated zip
             with open(path, "rb") as fh, np.load(fh) as data:
-                if str(data["kind"]) != kind:
+                stored = str(data["kind"])
+                if stored not in (kind, "failed"):
                     return None
-                return _unpack(kind, data)
+                return _unpack(stored, data)
         except (OSError, ValueError, KeyError, EOFError,
                 zipfile.BadZipFile):
             # unreadable entry: a miss, which the atomic store replaces
@@ -245,11 +319,8 @@ class StageCache:
             return None
 
     def _store(self, key: str, kind: str, obj) -> None:
-        if not self.directory:
-            self._mem[key] = obj
-            return
         payload = _pack(kind, obj)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".npz")
+        fd, tmp = temp_file(self.directory, suffix=".npz")
         os.close(fd)
         try:
             with open(tmp, "wb") as fh:
@@ -277,12 +348,16 @@ def _pack(kind: str, obj) -> dict:
                 "depth": obj.depth.values, "wse": obj.wse.values}
     if kind == "tiles":
         return {"values": obj}
+    if kind == "failed":
+        return {"reason": np.str_(obj.reason)}
     raise InputError("unknown cache kind %r" % kind)
 
 
 def _unpack(kind: str, data):
     if kind == "tiles":
         return np.array(data["values"])
+    if kind == "failed":
+        return _Failed(str(data["reason"]))
     geo = data["geo"]
     w, h = int(geo[0]), int(geo[1])
     cell, ox, oy = float(geo[2]), float(geo[3]), float(geo[4])
@@ -358,17 +433,20 @@ STAGE_VERSIONS = {"filter": 1, "filter_ref": 1, "map": 1, "morph": 1,
                   "tiles": 1, "depth": 1}
 
 
-def _stage_key(stage: str, cfg_payload, *digests: str) -> str:
-    return digest_bytes(canonical_json(
-        [CACHE_FORMAT, stage, STAGE_VERSIONS[stage], cfg_payload,
-         list(digests)]).encode())
+def _stage_key(stage: str, params_json: str, *digests: str) -> str:
+    """sha256 of canonical_json([CACHE_FORMAT, stage, version, params,
+    digests]), with the parameters spliced in already serialized."""
+    return digest_bytes(('[%d,"%s",%d,%s,%s]' % (
+        CACHE_FORMAT, stage, STAGE_VERSIONS[stage], params_json,
+        canonical_json(list(digests)))).encode())
 
 
-def _node(cache: StageCache, stage: str, params, parents, kind: str,
-          compute, label: str):
-    """The versioned key of one stage output, from its parameters and its
-    parents' keys or digests, and a getter that loads or computes it."""
-    key = _stage_key(stage, params, *parents)
+def _node(cache: StageCache, stage: str, params_json: str, parents,
+          kind: str, compute, label: str):
+    """The versioned key of one stage output, from its parameters (as
+    canonical JSON) and its parents' keys or digests, and a getter that
+    loads or computes it."""
+    key = _stage_key(stage, params_json, *parents)
 
     def get():
         obj, hit = cache.get_or_compute(key, kind, compute)
@@ -399,7 +477,7 @@ def _filtered(inputs: PipelineInputs, fcfg: FilterConfig, cache: StageCache,
     in_digest = digest_file(fcfg.path) if fcfg.method == "external" \
         else inputs.digest(name)
     model = SpeckleModel(inputs.looks)
-    return _node(cache, stage, asdict(fcfg),
+    return _node(cache, stage, fcfg.params_json,
                  [in_digest, canonical_json(inputs.looks)], "raster",
                  lambda: apply_filter_config(image, fcfg, model),
                  fcfg.describe())[1]()
@@ -425,20 +503,20 @@ def _mask(inputs: PipelineInputs, cfg: ConfigSpec,
         scores = None
         if mapper.method == "local_threshold":
             side = mapper.min_tile_side
-            scores = _node(cache, "tiles", side, parents[:1], "tiles",
-                           lambda: mapping.tile_scores(
+            scores = _node(cache, "tiles", canonical_json(side), parents[:1],
+                           "tiles", lambda: mapping.tile_scores(
                                mapping.to_db(filtered), side),
                            "tile=%d" % side)[1]()
         return apply_mapper_config(
             filtered, mapper, MorphologyConfig(False),
             MapperAux(reference, inputs.permanent_water, scores))
 
-    base_key, base = _node(cache, "map", asdict(mapper), parents, "mask",
-                           base_mask, mapper.describe())
+    base_key, base = _node(cache, "map", mapper.params_json, parents,
+                           "mask", base_mask, mapper.describe())
     if not cfg.morphology.enabled:
         return base()
     morph = cfg.morphology
-    return _node(cache, "morph", asdict(morph), [base_key], "mask",
+    return _node(cache, "morph", morph.params_json, [base_key], "mask",
                  lambda: mapping.apply_morphology(base(), morph),
                  morph.describe())[1]()
 
@@ -481,7 +559,7 @@ def run_pipeline(inputs: PipelineInputs, cfg: ConfigSpec,
             if inputs.dem is None:
                 raise InputError("depth estimation requires a DEM")
             dfield = _node(
-                cache, "depth", asdict(cfg.depth),
+                cache, "depth", cfg.depth.params_json,
                 [digest_mask(mask), inputs.digest("dem"),
                  inputs.digest("exclusion"),
                  canonical_json([list(s.vertices) for s in inputs.sections])],
@@ -548,8 +626,7 @@ def sweep(plan: SweepPlan) -> str:
     manifest = os.path.join(plan.out_dir, "manifest.csv")
     out_dir = plan.out_dir if plan.write_outputs else None
     jobs = max(1, plan.jobs)
-    fd, tmp = tempfile.mkstemp(dir=plan.out_dir, prefix=".manifest-",
-                               suffix=".csv")
+    fd, tmp = temp_file(plan.out_dir, prefix=".manifest-", suffix=".csv")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(metrics.manifest_header_line() + "\n")

@@ -17,8 +17,9 @@ from scipy import ndimage
 from scipy.special import ndtr
 
 from .errors import DegenerateError, InputError
-from .raster import (BinaryMask, DRY, FLOODED, MASK_NODATA, Raster,
-                     label_array, mask_like, read_mask, require_same_grid)
+from .raster import (BinaryMask, DRY, FLOODED, JsonParams, MASK_NODATA,
+                     Raster, label_array, mask_like, read_mask,
+                     require_same_grid)
 
 log = logging.getLogger("floodbench")
 
@@ -370,7 +371,7 @@ class ChanVeseParams:
 
 
 @dataclass(frozen=True)
-class MorphologyConfig:
+class MorphologyConfig(JsonParams):
     """Hole filling then small-patch removal, both in pixel areas."""
 
     enabled: bool = False
@@ -390,7 +391,7 @@ class MorphologyConfig:
 
 
 @dataclass(frozen=True)
-class MapperConfig:
+class MapperConfig(JsonParams):
     """One flood-mapping configuration (fields present per method)."""
 
     method: str

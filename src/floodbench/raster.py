@@ -14,10 +14,12 @@ resampling. Two on-disk formats are supported:
 """
 from __future__ import annotations
 
+import functools
+import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +40,30 @@ _ASCII_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize",
                "nodata_value")
 
 DEFAULT_NODATA = -9999.0
+
+
+def _process_umask() -> int:
+    umask = os.umask(0)
+    os.umask(umask)
+    return umask
+
+
+# mkstemp creates its files with mode 0600; outputs get the mode open()
+# would give them under the umask the process was started with
+FILE_MODE = 0o666 & ~_process_umask()
+
+
+def canonical_json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+class JsonParams:
+    """Mixin for the frozen stage-config dataclasses: their fields as
+    canonical JSON, serialized once per config object."""
+
+    @functools.cached_property
+    def params_json(self) -> str:
+        return canonical_json(asdict(self))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -238,12 +264,21 @@ def write_mask(mask: BinaryMask, path: str, fmt: str | None = None) -> None:
     write_raster(r, path, fmt)
 
 
+def temp_file(directory: str, prefix: str = "tmp",
+              suffix: str = "") -> tuple[int, str]:
+    """A new temp file in ``directory`` with mode FILE_MODE, for the temp
+    half of an atomic write-temp-then-rename: (open fd, path)."""
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix, suffix=suffix)
+    os.fchmod(fd, FILE_MODE)
+    return fd, tmp
+
+
 def atomic_write_bytes(path: str, payload: bytes) -> None:
     """Write payload to path via a temp file in the same directory."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        fd, tmp = temp_file(directory, prefix=".tmp-")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(payload)

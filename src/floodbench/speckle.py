@@ -14,8 +14,8 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DegenerateError, GeometryError, InputError
-from .raster import (BinaryMask, FLOODED, Raster, local_stats, read_raster,
-                     require_intensity, require_same_grid)
+from .raster import (BinaryMask, FLOODED, JsonParams, Raster, local_stats,
+                     read_raster, require_intensity, require_same_grid)
 
 TABLE_WINDOW_SIDES = (3, 5, 7)
 TABLE_XI = (0.7, 0.8, 0.9)
@@ -44,7 +44,7 @@ class SpeckleModel:
 
 
 @dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(JsonParams):
     """One speckle-filtering configuration.
 
     Parameters must be present exactly when the method requires them:

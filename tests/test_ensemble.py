@@ -609,3 +609,368 @@ def test_stage_cache_memory_and_disk(tmp_path, sweep_scene):
     assert hit4
     assert np.array_equal(obj4.values, r.values)
     assert obj4.geometry == r.geometry
+
+
+# ---------------------------------------------------------------------------
+# stage cache tiers
+
+
+def test_keys_and_config_ids_match_canonical_json_formula():
+    from dataclasses import asdict
+    filters = enumerate_filters()
+    mappers = enumerate_mappers(with_morphology=True)
+    depths = enumerate_depth()
+    parents = ("d" * 64, "4.0")
+    samples = [("filter", f) for f in filters[::5]] \
+        + [("map", m) for m, _ in mappers[::23]] \
+        + [("morph", mo) for _, mo in mappers[:9]] \
+        + [("depth", d) for d in depths[::4]]
+    for stage, cfg in samples:
+        old = ensemble.digest_bytes(ensemble.canonical_json(
+            [ensemble.CACHE_FORMAT, stage, ensemble.STAGE_VERSIONS[stage],
+             asdict(cfg), list(parents)]).encode())
+        assert ensemble._stage_key(stage, cfg.params_json, *parents) == old
+    old = ensemble.digest_bytes(ensemble.canonical_json(
+        [ensemble.CACHE_FORMAT, "tiles", 1, 100, list(parents)]).encode())
+    assert ensemble._stage_key("tiles", "100", *parents) == old
+    specs = build_config_specs(filters[::5], mappers[::23]) \
+        + build_config_specs(filters[:2], mappers[:2], depths[::4])
+    for spec in specs:
+        payload = {"filter": asdict(spec.filter),
+                   "mapper": asdict(spec.mapper),
+                   "morphology": asdict(spec.morphology),
+                   "depth": asdict(spec.depth) if spec.depth else None}
+        assert spec.config_id == ensemble.digest_bytes(
+            ensemble.canonical_json(payload).encode())[:16]
+
+
+def test_stage_keys_unchanged_so_old_cache_dirs_stay_hits():
+    # recorded with the asdict/canonical_json key formula the cache used
+    # before payloads were serialized once per config object
+    parents = ("d" * 64, "4.0")
+    recorded = {
+        "filter": (FilterConfig("lee_sigma", k=2, xi=0.9),
+                   "c9f260a89b42263b519dafbe26068b781d55d5aef98b9800f55114ac8e6e33bc"),
+        "map": (MapperConfig("active_contour",
+                             chan_vese=ChanVeseParams(alpha=0.1)),
+                "e75753f18e095c2a42bbc5b59e63b06dba72f0b145c84f9a96dbad5ed2ba3e3b"),
+        "morph": (MorphologyConfig(True, 50, 50),
+                  "21483c8d8a849213bf5b0e513147564ce222452f2c7e43e691cc592a2a2b24b1"),
+        "depth": (DepthConfig("flexth", slope_threshold=0.5,
+                              max_neighbors=10),
+                  "86b037b39a6af9f186401e8b0b9109ec6a62b842f52411d6ca0955d665aeb91e"),
+    }
+    for stage, (cfg, key) in recorded.items():
+        assert ensemble._stage_key(stage, cfg.params_json, *parents) == key
+    assert ensemble._stage_key("tiles", "100", *parents) \
+        == "57fd855f28c4848e793b3e72e0f82658ce8d7278c141dbe2425af975d40192ea"
+
+
+def depth_plan_configs():
+    """9 morphologies of one mapper, each with two depth estimators."""
+    mapper = MapperConfig("global_threshold", selector="otsu")
+    return build_config_specs(
+        [FilterConfig("median", k=1)],
+        [(mapper, morph) for morph in ensemble.morphology_grid()],
+        [DepthConfig("fwdet", smoothing_iterations=3),
+         DepthConfig("flexth", max_neighbors=5)])
+
+
+def test_fresh_cache_reads_each_key_from_disk_once(tmp_path, sweep_scene,
+                                                   monkeypatch):
+    inputs = scene_inputs(sweep_scene)
+    configs = depth_plan_configs()
+    cache_dir = str(tmp_path / "cache")
+    cold = [run_pipeline(inputs, cfg, StageCache(cache_dir)).record
+            for cfg in configs]
+    loads = []
+    real = StageCache._load
+
+    def counted(self, key, kind):
+        loads.append(key)
+        return real(self, key, kind)
+
+    monkeypatch.setattr(StageCache, "_load", counted)
+    cache = StageCache(cache_dir)
+    warm = [run_pipeline(inputs, cfg, cache).record for cfg in configs]
+    assert cache.misses == 0
+    # 1 filtered image, 1 base mask, 9 morphed masks, 9 x 2 depth fields
+    # at most (equal masks share theirs)
+    assert len(loads) == len(set(loads)) <= 1 + 1 + 9 + 18
+    assert cache.hits > len(loads)
+    assert [(r.status, r.f1, r.rmse_m) for r in warm] \
+        == [(r.status, r.f1, r.rmse_m) for r in cold]
+
+
+def table(n: int, fill: float = 0.0) -> np.ndarray:
+    return np.full(n, fill)           # n float64s: 8n bytes in the tier
+
+
+def test_memory_tier_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(ensemble, "MEMORY_TIER_BYTES", 3 * 800)
+    cache = StageCache()
+    for key in "abc":
+        cache.get_or_compute(key, "tiles", lambda: table(100))
+    cache.get_or_compute("a", "tiles", lambda: 0 / 0)     # a is now newest
+    cache.get_or_compute("d", "tiles", lambda: table(100))
+    assert list(cache._mem) == ["c", "a", "d"]
+    assert cache.held_bytes == 3 * 800
+    cache.get_or_compute("e", "tiles", lambda: table(200))
+    assert list(cache._mem) == ["d", "e"]
+    # an entry larger than the bound is computed but not held
+    big, hit = cache.get_or_compute("f", "tiles", lambda: table(301))
+    assert not hit and big.size == 301
+    assert list(cache._mem) == ["d", "e"]
+    assert cache.held_bytes == 3 * 800
+
+
+@pytest.mark.parametrize("disk", [False, True])
+def test_evicted_entry_reloads_or_recomputes(tmp_path, monkeypatch, disk):
+    monkeypatch.setattr(ensemble, "MEMORY_TIER_BYTES", 2 * 800)
+    cache = StageCache(str(tmp_path / "c") if disk else None)
+    computes = []
+
+    def compute(fill):
+        def run():
+            computes.append(fill)
+            return table(100, fill)
+        return run
+
+    first, _ = cache.get_or_compute("a", "tiles", compute(1.0))
+    for key, fill in (("b", 2.0), ("c", 3.0)):
+        cache.get_or_compute(key, "tiles", compute(fill))
+    assert "a" not in cache._mem
+    again, hit = cache.get_or_compute("a", "tiles", compute(1.0))
+    assert hit == disk
+    assert computes == ([1.0, 2.0, 3.0] if disk else [1.0, 2.0, 3.0, 1.0])
+    assert again is not first
+    assert np.array_equal(again, first)
+    assert list(cache._mem) == ["c", "a"]
+
+
+def test_memory_tier_stays_within_its_bound(tmp_path, sweep_scene,
+                                            monkeypatch):
+    inputs = scene_inputs(sweep_scene)
+    configs = depth_plan_configs()
+    unbounded = [run_pipeline(inputs, cfg, StageCache()).record
+                 for cfg in configs]
+    # room for about three depth fields (2 x 128 x 128 float64 each)
+    bound = 3 * 2 * 128 * 128 * 8
+    monkeypatch.setattr(ensemble, "MEMORY_TIER_BYTES", bound)
+    held = []
+    real = StageCache._remember
+
+    def watched(self, key, kind, obj):
+        real(self, key, kind, obj)
+        held.append(self.held_bytes)
+        assert self.held_bytes == sum(n for _, n in self._mem.values())
+
+    monkeypatch.setattr(StageCache, "_remember", watched)
+    for directory in (None, str(tmp_path / "c")):
+        cache = StageCache(directory)
+        bounded = [run_pipeline(inputs, cfg, cache).record
+                   for cfg in configs]
+        assert [(r.status, r.f1, r.rmse_m) for r in bounded] \
+            == [(r.status, r.f1, r.rmse_m) for r in unbounded]
+    assert max(held) <= bound
+    assert max(held) > bound // 2
+
+
+def test_memory_tier_tile_table_is_read_only(tmp_path, sweep_scene):
+    inputs = scene_inputs(sweep_scene)
+    cfg = ConfigSpec(FilterConfig("lee", k=1),
+                     MapperConfig("local_threshold", min_tile_side=100,
+                                  ad_min=1.9, bc_min=0.99, sr_min=0.1),
+                     MorphologyConfig(False))
+    cache_dir = str(tmp_path / "cache")
+    cache = StageCache(cache_dir)
+    assert run_pipeline(inputs, cfg, cache).record.status == "ok"
+    [(key, computed)] = [(key, obj) for key, (obj, _) in cache._mem.items()
+                         if isinstance(obj, np.ndarray)]
+    assert not computed.flags.writeable
+    loaded, hit = StageCache(cache_dir).get_or_compute(key, "tiles",
+                                                       lambda: 0 / 0)
+    assert hit and not loaded.flags.writeable
+    assert np.array_equal(loaded, computed)
+
+
+def failing_local_configs():
+    """36 local-threshold gates that pass on the lee image and fail with
+    ``no bimodal tiles`` on the median 5 x 5 image, plus one global."""
+    local = [(m, mo) for m, mo in enumerate_mappers(include_external=False)
+             if m.method == "local_threshold"][::6]
+    return build_config_specs(
+        [FilterConfig("lee", k=1), FilterConfig("median", k=2)],
+        local + [(MapperConfig("global_threshold", selector="otsu"),
+                  MorphologyConfig(True, 50, 50))])
+
+
+def test_method_failure_is_cached(tmp_path, sweep_scene, monkeypatch):
+    inputs = scene_inputs(sweep_scene)
+    configs = failing_local_configs()
+    cold = sweep(SweepPlan(inputs, configs, str(tmp_path / "o1"),
+                           cache_dir=str(tmp_path / "c"),
+                           write_outputs=False))
+    cold_rows = read_manifest(cold)
+    failed = {r["config_id"] for r in cold_rows if r["status"] == "failed"}
+    assert {r["reason"] for r in cold_rows if r["status"] == "failed"} \
+        == {"no bimodal tiles"}
+    assert len(failed) == 6
+    calls = []
+    real = ensemble.apply_mapper_config
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "apply_mapper_config", counted)
+    warm = sweep(SweepPlan(inputs, configs, str(tmp_path / "o2"),
+                           cache_dir=str(tmp_path / "c"),
+                           write_outputs=False))
+    assert calls == []
+    assert manifest_multiset(read_manifest(warm)) \
+        == manifest_multiset(cold_rows)
+
+
+@pytest.mark.parametrize("error", [InputError("bad input"),
+                                   RuntimeError("bug")])
+def test_other_errors_are_not_cached(tmp_path, error):
+    cache = StageCache(str(tmp_path / "c"))
+
+    def fail():
+        raise error
+
+    for _ in range(2):
+        with pytest.raises(type(error)):
+            cache.get_or_compute("k", "raster", fail)
+    assert cache.misses == 2 and cache.hits == 0
+    assert os.listdir(str(tmp_path / "c")) == []
+    assert not cache._mem
+
+
+def test_degenerate_error_raises_again_from_each_tier(tmp_path):
+    from floodbench.errors import DegenerateError
+    cache_dir = str(tmp_path / "c")
+    cache = StageCache(cache_dir)
+
+    def degenerate():
+        raise DegenerateError("no valid cut")
+
+    for fresh in (cache, cache, StageCache(cache_dir)):
+        with pytest.raises(DegenerateError, match="^no valid cut$"):
+            fresh.get_or_compute("k", "mask", lambda: degenerate())
+    assert (cache.hits, cache.misses) == (1, 1)
+    assert os.listdir(cache_dir) == ["k.npz"]
+
+
+def test_sweep_drops_key_locks(tmp_path, sweep_scene, monkeypatch):
+    caches = []
+
+    class Recorded(StageCache):
+        def __init__(self, directory=None):
+            super().__init__(directory)
+            caches.append(self)
+
+    monkeypatch.setattr(ensemble, "StageCache", Recorded)
+    inputs = scene_inputs(sweep_scene)
+    configs = small_config_set(None) + failing_local_configs()
+    manifests = [read_manifest(sweep(SweepPlan(
+        inputs, configs, str(tmp_path / ("o%d" % jobs)), jobs=jobs,
+        cache_dir=str(tmp_path / ("c%d" % jobs)), write_outputs=False)))
+        for jobs in (1, 8)]
+    assert manifest_multiset(manifests[0]) == manifest_multiset(manifests[1])
+    assert len(caches) == 2
+    assert all(cache._locks == {} for cache in caches)
+
+
+def test_outputs_honour_the_umask(tmp_path):
+    import stat
+    import subprocess
+    import sys
+    script = """
+import os, sys
+os.umask(0o022)
+from floodbench.ensemble import ConfigSpec, PipelineInputs, SweepPlan, sweep
+from floodbench.mapping import MapperConfig, MorphologyConfig
+from floodbench.speckle import FilterConfig
+from floodbench.synth import SceneSpec, generate_scene
+scene = generate_scene(SceneSpec(width=64, height=64, looks=4.0, seed=3))
+cfg = ConfigSpec(FilterConfig("none"),
+                 MapperConfig("global_threshold", selector="otsu"),
+                 MorphologyConfig(False))
+sweep(SweepPlan(PipelineInputs(flood=scene.speckled_intensity), [cfg],
+                sys.argv[1]))
+print(cfg.config_id)
+"""
+    src = os.path.join(os.path.dirname(ensemble.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = str(tmp_path / "out")
+    done = subprocess.run([sys.executable, "-c", script, out], env=env,
+                          capture_output=True, text=True, check=True)
+    config_id = done.stdout.strip()
+    entries = os.listdir(os.path.join(out, "cache"))
+    assert entries
+    for path in [os.path.join(out, config_id, "mask.fbr"),
+                 os.path.join(out, "manifest.csv"),
+                 os.path.join(out, "cache", entries[0])]:
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644, path
+
+
+def test_memory_tier_under_thread_contention(tmp_path, monkeypatch):
+    import sys
+    import threading
+    import time
+    from collections import OrderedDict
+
+    class Yielding(OrderedDict):
+        # gives up the interpreter lock inside every update of the tier, so
+        # an update made outside the cache's guard would interleave
+        def __setitem__(self, key, value):
+            time.sleep(0)
+            super().__setitem__(key, value)
+
+        def popitem(self, last=True):
+            time.sleep(0)
+            return super().popitem(last)
+
+    monkeypatch.setattr(ensemble, "MEMORY_TIER_BYTES", 5 * 800)
+    cache = StageCache(str(tmp_path / "c"))
+    cache._mem = Yielding()
+    keys = ["k%d" % i for i in range(12)]
+    bad = []
+    computing = set()
+
+    def compute(i):
+        # one key's compute never runs in two threads at once
+        if i in computing:
+            bad.append(("concurrent", i))
+        computing.add(i)
+        time.sleep(0)
+        computing.discard(i)
+        return table(100, i)
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        for i in rng.integers(0, len(keys), 300):
+            obj, _ = cache.get_or_compute(keys[i], "tiles",
+                                          lambda i=i: compute(i))
+            if not np.array_equal(obj, table(100, i)):
+                bad.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,))
+                   for s in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+    assert cache.hits + cache.misses == 8 * 300
+    assert cache.held_bytes == sum(n for _, n in cache._mem.values()) \
+        <= 5 * 800
+    assert cache._locks == {}
