@@ -67,7 +67,9 @@ class BoundarySet:
     """Flood-boundary cells with their DEM elevations.
 
     Cells are flooded with at least one dry 4-neighbor, listed in row-major
-    order, optionally filtered to a maximum percent slope.
+    order, optionally filtered to a maximum percent slope. FLEXTH passes
+    them straight to ``raster._k_nearest``, whose (d², row, col) ranking
+    relies on that order.
     """
 
     cells: np.ndarray       # (B, 2) int rows/cols
@@ -191,15 +193,12 @@ def flexth(mask: BinaryMask, dem: Raster, cfg: DepthConfig,
     fl = work.values == FLOODED
     cells = np.argwhere(fl)
     src = boundary.cells
-    order = np.lexsort((src[:, 1], src[:, 0]))
-    src = src[order]
-    z = boundary.elevations[order]
     k = min(cfg.max_neighbors, src.shape[0])
     near, d2 = _k_nearest(src, cells, k)
     dist = np.sqrt(d2.astype(np.float64))
     w = 1.0 / np.maximum(dist, 1.0)
     wn = w / w.sum(axis=1, keepdims=True)
-    wse_cells = np.sum(wn * z[near], axis=1)
+    wse_cells = np.sum(wn * boundary.elevations[near], axis=1)
     return _field_from_wse(dem, fl, wse_cells, cells)
 
 

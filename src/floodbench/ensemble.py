@@ -26,7 +26,6 @@ import logging
 import os
 import threading
 import time
-import zipfile
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,9 +43,9 @@ from .mapping import (ChanVeseParams, MapperAux, MapperConfig,
                       apply_mapper_config)
 from .metrics import (MetricsRecord, accuracy, confusion, depth_rmse, f1,
                       flooded_area_km2, read_watermarks, rmse_at_points)
-from .raster import (BinaryMask, Raster, canonical_json, read_mask,
-                     read_raster, require_same_grid, temp_file, write_mask,
-                     write_raster)
+from .raster import (BinaryMask, Raster, canonical_json, mask_like,
+                     read_mask, read_raster, require_same_grid, temp_file,
+                     write_mask, write_raster)
 from .speckle import (FilterConfig, SpeckleModel, TABLE_ALPHA,
                       TABLE_WINDOW_SIDES, TABLE_XI, apply_filter_config)
 
@@ -191,26 +190,24 @@ def build_config_specs(filters, mapper_morphs, depth_configs=None
 # stage cache
 
 
-@dataclass(frozen=True)
-class _Failed:
-    """The stored outcome of a compute that raised DegenerateError."""
-
-    reason: str
-
-
 class StageCache:
     """Content-addressed store of intermediate stage outputs, in two tiers.
 
-    The memory tier keeps recent entries in least-recently-used order, up
+    The memory tier keeps recent outputs in least-recently-used order, up
     to MEMORY_TIER_BYTES of array data; an entry larger than that is not
-    held. With a directory, a disk tier keeps one .npz per key, written
-    through on every compute (atomic write-temp-then-rename). A lookup
-    tries memory, then disk, then computes, and remembers what it loaded
-    or computed, so a process reads an entry from disk at most once unless
-    the memory tier evicted it. Without a directory an evicted entry is
-    recomputed. A compute that raises DegenerateError is stored as a
-    ``failed`` entry that raises the same message on every hit; other
-    errors store nothing. Keys are content hashes of the stage
+    held. With a directory, a disk tier keeps one .npy array per key,
+    written through on every compute (atomic write-temp-then-rename) and
+    read without pickles: a raster's or a mask's values, depth and WSE
+    stacked as (2, H, W), or a tile table. The array carries no geometry:
+    every output of a sweep lies on its input grid, so each lookup passes
+    a ``decode`` that rebuilds the output from the array. An entry that
+    cannot be read or decoded is a logged miss. A lookup tries memory,
+    then disk, then computes, and remembers what it decoded or computed,
+    so a process reads an entry from disk at most once unless the memory
+    tier evicted it. Without a directory an evicted entry is
+    recomputed. A compute that raises DegenerateError is stored as its
+    message (a 0-d string array) and raises the same message on every hit;
+    other errors store nothing. Keys are content hashes of the stage
     configuration plus all input digests, so equal keys imply
     byte-identical outputs.
     """
@@ -231,18 +228,20 @@ class StageCache:
             return self._locks.setdefault(key, threading.Lock())
 
     def _path(self, key: str) -> str:
-        return os.path.join(self.directory, key + ".npz")
+        return os.path.join(self.directory, key + ".npy")
 
-    def get_or_compute(self, key: str, kind: str, compute):
+    def get_or_compute(self, key: str, kind: str, compute, decode=np.asarray):
         """Return (object, cache_hit) for the keyed stage output; a stored
-        failure raises its DegenerateError again."""
+        failure raises its DegenerateError again. ``decode`` rebuilds the
+        output from its stored array (the default keeps the array, as a
+        tile table is); ``kind`` names the output for tracing."""
         entry = self._recall(key)
         if entry is None:
             with self._lock_for(key):
                 try:
                     entry = self._recall(key)
                     if entry is None and self.directory:
-                        entry = self._load(key, kind)
+                        entry = self._decoded(key, kind, decode)
                         if entry is not None:
                             self._remember(key, kind, entry)
                     if entry is None:
@@ -255,8 +254,8 @@ class StageCache:
                         self._locks.pop(key, None)
         with self._guard:
             self.hits += 1
-        if isinstance(entry, _Failed):
-            raise DegenerateError(entry.reason)
+        if isinstance(entry, DegenerateError):
+            raise DegenerateError(str(entry))
         return entry, True
 
     def _compute(self, key: str, kind: str, compute):
@@ -266,14 +265,15 @@ class StageCache:
             obj = compute()
         except DegenerateError as exc:
             # deterministic given the key: later lookups raise it again
-            self._keep(key, "failed", _Failed(str(exc)))
+            # (held without the traceback, which pins the stage's frames)
+            self._keep(key, kind, DegenerateError(str(exc)))
             raise
         self._keep(key, kind, obj)
         return obj
 
     def _keep(self, key: str, kind: str, obj) -> None:
         if self.directory:
-            self._store(key, kind, obj)
+            self._store(key, obj)
         self._remember(key, kind, obj)
 
     def _recall(self, key: str):
@@ -288,9 +288,7 @@ class StageCache:
         if isinstance(obj, np.ndarray):
             # the tile table; Raster and BinaryMask values are read-only
             obj.flags.writeable = False
-        if isinstance(obj, _Failed):
-            kind = "failed"
-        size = sum(np.asarray(v).nbytes for v in _pack(kind, obj).values())
+        size = sum(a.nbytes for a in _arrays(obj))
         if size > MEMORY_TIER_BYTES:
             return
         with self._guard:
@@ -301,30 +299,37 @@ class StageCache:
             while self.held_bytes > MEMORY_TIER_BYTES:
                 self.held_bytes -= self._mem.popitem(last=False)[1][1]
 
-    def _load(self, key: str, kind: str):
-        path = self._path(key)
-        if not os.path.exists(path):
-            return None
+    def _load(self, key: str, kind: str) -> np.ndarray | None:
+        """The stored array of a key, or None when there is none."""
         try:
-            # np.load leaves its own handle open on a truncated zip
-            with open(path, "rb") as fh, np.load(fh) as data:
-                stored = str(data["kind"])
-                if stored not in (kind, "failed"):
-                    return None
-                return _unpack(stored, data)
-        except (OSError, ValueError, KeyError, EOFError,
-                zipfile.BadZipFile):
-            # unreadable entry: a miss, which the atomic store replaces
+            with open(self._path(key), "rb") as fh:
+                # the .npy format only: np.load would open a zip as well
+                return np.lib.format.read_array(fh, allow_pickle=False)
+        except FileNotFoundError:
+            return None
+
+    def _decoded(self, key: str, kind: str, decode):
+        """The output (or stored failure) on disk under a key; None when
+        there is none or it cannot be read or decoded."""
+        try:
+            arr = self._load(key, kind)
+            if arr is None:
+                return None
+            if arr.dtype.kind == "U":
+                return DegenerateError(str(arr))
+            return decode(arr)
+        except (OSError, ValueError, EOFError, InputError):
+            # an unreadable entry is a miss, which the atomic store replaces
             log.warning("stage=cache status=corrupt key=%s", key[:12])
             return None
 
-    def _store(self, key: str, kind: str, obj) -> None:
-        payload = _pack(kind, obj)
-        fd, tmp = temp_file(self.directory, suffix=".npz")
-        os.close(fd)
+    def _store(self, key: str, obj) -> None:
+        arrays = _arrays(obj)
+        fd, tmp = temp_file(self.directory, suffix=".npy")
         try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, kind=kind, **payload)
+            with os.fdopen(fd, "wb") as fh:
+                np.save(fh, np.stack(arrays) if len(arrays) > 1
+                        else arrays[0], allow_pickle=False)
             os.replace(tmp, self._path(key))
         except BaseException:
             if os.path.exists(tmp):
@@ -332,47 +337,16 @@ class StageCache:
             raise
 
 
-def _geo_array(obj) -> np.ndarray:
-    return np.array([obj.width, obj.height, obj.cell_size,
-                     obj.origin_x, obj.origin_y], dtype=np.float64)
-
-
-def _pack(kind: str, obj) -> dict:
-    if kind == "raster":
-        return {"geo": _geo_array(obj), "nodata": np.float64(obj.nodata),
-                "values": obj.values}
-    if kind == "mask":
-        return {"geo": _geo_array(obj), "values": obj.values}
-    if kind == "depth":
-        return {"geo": _geo_array(obj.depth), "nodata": np.float64(obj.depth.nodata),
-                "depth": obj.depth.values, "wse": obj.wse.values}
-    if kind == "tiles":
-        return {"values": obj}
-    if kind == "failed":
-        return {"reason": np.str_(obj.reason)}
-    raise InputError("unknown cache kind %r" % kind)
-
-
-def _unpack(kind: str, data):
-    if kind == "tiles":
-        return np.array(data["values"])
-    if kind == "failed":
-        return _Failed(str(data["reason"]))
-    geo = data["geo"]
-    w, h = int(geo[0]), int(geo[1])
-    cell, ox, oy = float(geo[2]), float(geo[3]), float(geo[4])
-    if kind == "raster":
-        return Raster(w, h, cell, ox, oy, float(data["nodata"]),
-                      np.array(data["values"]))
-    if kind == "mask":
-        return BinaryMask(w, h, cell, ox, oy, np.array(data["values"]))
-    if kind == "depth":
-        nodata = float(data["nodata"])
-        return DepthField(Raster(w, h, cell, ox, oy, nodata,
-                                 np.array(data["depth"])),
-                          Raster(w, h, cell, ox, oy, nodata,
-                                 np.array(data["wse"])))
-    raise InputError("unknown cache kind %r" % kind)
+def _arrays(obj) -> list[np.ndarray]:
+    """The arrays of a stage output, or the message of a stored failure;
+    a disk entry stacks them into one."""
+    if isinstance(obj, DepthField):
+        return [obj.depth.values, obj.wse.values]
+    if isinstance(obj, (Raster, BinaryMask)):
+        return [obj.values]
+    if isinstance(obj, DegenerateError):
+        return [np.array(str(obj))]
+    return [obj]
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +369,7 @@ class PipelineInputs:
     looks: float = 1.0
     external_reference_path: str | None = None
     _digests: dict = field(default_factory=dict, repr=False)
+    _file_digests: dict = field(default_factory=dict, repr=False)
 
     def validate(self) -> None:
         for name in ("reference", "dem", "reference_mask", "permanent_water",
@@ -417,6 +392,13 @@ class PipelineInputs:
                 raise InputError("cannot digest input %r" % name)
         return self._digests[name]
 
+    def file_digest(self, path: str) -> str:
+        """digest_file of an external input, memoised per path for the
+        life of these inputs (one sweep)."""
+        if path not in self._file_digests:
+            self._file_digests[path] = digest_file(path)
+        return self._file_digests[path]
+
 
 class PipelineResult:
     def __init__(self, mask, depth, record):
@@ -428,7 +410,7 @@ class PipelineResult:
 # Bump a stage's version whenever its algorithm may change a stored output
 # bit, and CACHE_FORMAT whenever the entry layout changes, so entries written
 # by older code are misses rather than stale hits.
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 STAGE_VERSIONS = {"filter": 1, "filter_ref": 1, "map": 1, "morph": 1,
                   "tiles": 1, "depth": 1}
 
@@ -442,14 +424,15 @@ def _stage_key(stage: str, params_json: str, *digests: str) -> str:
 
 
 def _node(cache: StageCache, stage: str, params_json: str, parents,
-          kind: str, compute, label: str):
+          kind: str, compute, label: str, decode):
     """The versioned key of one stage output, from its parameters (as
     canonical JSON) and its parents' keys or digests, and a getter that
-    loads or computes it."""
+    loads (rebuilding the output from its stored array with ``decode``) or
+    computes it."""
     key = _stage_key(stage, params_json, *parents)
 
     def get():
-        obj, hit = cache.get_or_compute(key, kind, compute)
+        obj, hit = cache.get_or_compute(key, kind, compute, decode)
         log.info("stage=%s config=%s status=%s", stage, label,
                  "cached" if hit else "computed")
         return obj
@@ -474,13 +457,13 @@ def _filtered(inputs: PipelineInputs, fcfg: FilterConfig, cache: StageCache,
             log.info("stage=filter_ref config=%s status=fallback_unfiltered",
                      fcfg.describe())
             fcfg = FilterConfig("none")
-    in_digest = digest_file(fcfg.path) if fcfg.method == "external" \
+    in_digest = inputs.file_digest(fcfg.path) if fcfg.method == "external" \
         else inputs.digest(name)
     model = SpeckleModel(inputs.looks)
     return _node(cache, stage, fcfg.params_json,
                  [in_digest, canonical_json(inputs.looks)], "raster",
                  lambda: apply_filter_config(image, fcfg, model),
-                 fcfg.describe())[1]()
+                 fcfg.describe(), image.like)[1]()
 
 
 def _mask(inputs: PipelineInputs, cfg: ConfigSpec,
@@ -497,7 +480,7 @@ def _mask(inputs: PipelineInputs, cfg: ConfigSpec,
     if mapper.method == "active_contour":
         parents.append(inputs.digest("permanent_water"))
     if mapper.method == "external_mask":
-        parents.append(digest_file(mapper.external_path))
+        parents.append(inputs.file_digest(mapper.external_path))
 
     def base_mask():
         scores = None
@@ -506,19 +489,20 @@ def _mask(inputs: PipelineInputs, cfg: ConfigSpec,
             scores = _node(cache, "tiles", canonical_json(side), parents[:1],
                            "tiles", lambda: mapping.tile_scores(
                                mapping.to_db(filtered), side),
-                           "tile=%d" % side)[1]()
+                           "tile=%d" % side, np.asarray)[1]()
         return apply_mapper_config(
             filtered, mapper, MorphologyConfig(False),
             MapperAux(reference, inputs.permanent_water, scores))
 
+    on_grid = functools.partial(mask_like, inputs.flood)
     base_key, base = _node(cache, "map", mapper.params_json, parents,
-                           "mask", base_mask, mapper.describe())
+                           "mask", base_mask, mapper.describe(), on_grid)
     if not cfg.morphology.enabled:
         return base()
     morph = cfg.morphology
     return _node(cache, "morph", morph.params_json, [base_key], "mask",
                  lambda: mapping.apply_morphology(base(), morph),
-                 morph.describe())[1]()
+                 morph.describe(), on_grid)[1]()
 
 
 def run_pipeline(inputs: PipelineInputs, cfg: ConfigSpec,
@@ -567,7 +551,9 @@ def run_pipeline(inputs: PipelineInputs, cfg: ConfigSpec,
                 lambda: apply_depth_config(
                     mask, inputs.dem, cfg.depth,
                     DepthAux(inputs.exclusion, tuple(inputs.sections))).field,
-                cfg.depth.describe())[1]()
+                cfg.depth.describe(),
+                lambda a: DepthField(inputs.dem.like(a[0]),
+                                     inputs.dem.like(a[1])))[1]()
             if inputs.reference_depth is not None:
                 rec.rmse_m = depth_rmse(dfield, inputs.reference_depth)
             elif inputs.watermarks is not None:

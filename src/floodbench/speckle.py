@@ -313,5 +313,6 @@ def apply_filter_config(raster: Raster, config: FilterConfig,
                 "external raster geometry mismatch: %r vs %r"
                 % (ext.geometry, raster.geometry))
         require_intensity(ext)
-        return ext
+        # the input's nodata, as every other filter returns
+        return raster.like(np.where(ext.finite, ext.values, raster.nodata))
     raise InputError("unknown filter method %r" % config.method)

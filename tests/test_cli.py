@@ -280,7 +280,7 @@ def test_sweep_corrupt_cache_entries_are_recomputed(tmp_path, scene_dir,
     assert main(["sweep", "--plan", str(plan), "--out-dir",
                  str(tmp_path / "o1")]) == 0
     clean = read_manifest(capsys.readouterr().out.strip().splitlines()[-1])
-    junk, truncated = sorted((tmp_path / "cache").glob("*.npz"))[:2]
+    junk, truncated = sorted((tmp_path / "cache").glob("*.npy"))[:2]
     junk.write_bytes(b"junk")
     truncated.write_bytes(truncated.read_bytes()[:truncated.stat().st_size
                                                  // 2])

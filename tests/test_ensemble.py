@@ -650,20 +650,20 @@ def test_stage_keys_unchanged_so_old_cache_dirs_stay_hits():
     parents = ("d" * 64, "4.0")
     recorded = {
         "filter": (FilterConfig("lee_sigma", k=2, xi=0.9),
-                   "c9f260a89b42263b519dafbe26068b781d55d5aef98b9800f55114ac8e6e33bc"),
+                   "631d3fcb96acaaa69ede40a64bcbf0d9cb7997d60a60d67cf0de5910eeb27eab"),
         "map": (MapperConfig("active_contour",
                              chan_vese=ChanVeseParams(alpha=0.1)),
-                "e75753f18e095c2a42bbc5b59e63b06dba72f0b145c84f9a96dbad5ed2ba3e3b"),
+                "30b6e95940a38a8d98e48a3e588b18364ab224f3529c92336388473f2145403a"),
         "morph": (MorphologyConfig(True, 50, 50),
-                  "21483c8d8a849213bf5b0e513147564ce222452f2c7e43e691cc592a2a2b24b1"),
+                  "f92a639a231aae436e885b3bb2cdae16e676893522bea238e2d459e61fa1c671"),
         "depth": (DepthConfig("flexth", slope_threshold=0.5,
                               max_neighbors=10),
-                  "86b037b39a6af9f186401e8b0b9109ec6a62b842f52411d6ca0955d665aeb91e"),
+                  "5bb1e437f13a4ec0c227cd8b47e2a2d8af32f6a56fe9df81a028be12e55a6e95"),
     }
     for stage, (cfg, key) in recorded.items():
         assert ensemble._stage_key(stage, cfg.params_json, *parents) == key
     assert ensemble._stage_key("tiles", "100", *parents) \
-        == "57fd855f28c4848e793b3e72e0f82658ce8d7278c141dbe2425af975d40192ea"
+        == "2151c8793a54f4300a16f4638a42719ec99561ce5d573e8b0969d9b884cd7d71"
 
 
 def depth_plan_configs():
@@ -860,7 +860,7 @@ def test_degenerate_error_raises_again_from_each_tier(tmp_path):
         with pytest.raises(DegenerateError, match="^no valid cut$"):
             fresh.get_or_compute("k", "mask", lambda: degenerate())
     assert (cache.hits, cache.misses) == (1, 1)
-    assert os.listdir(cache_dir) == ["k.npz"]
+    assert os.listdir(cache_dir) == ["k.npy"]
 
 
 def test_sweep_drops_key_locks(tmp_path, sweep_scene, monkeypatch):
@@ -974,3 +974,214 @@ def test_memory_tier_under_thread_contention(tmp_path, monkeypatch):
     assert cache.held_bytes == sum(n for _, n in cache._mem.values()) \
         <= 5 * 800
     assert cache._locks == {}
+
+
+# ---------------------------------------------------------------------------
+# disk entries: one .npy array per key
+
+
+def depth_config():
+    return ConfigSpec(FilterConfig("median", k=1),
+                      MapperConfig("global_threshold", selector="otsu"),
+                      MorphologyConfig(False),
+                      DepthConfig("fwdet", smoothing_iterations=3))
+
+
+def cached_entries(inputs, cache_dir):
+    """Run depth_config() into cache_dir; return its result and the key of
+    each entry by output type (filter, map, depth)."""
+    cache = StageCache(cache_dir)
+    result = run_pipeline(inputs, depth_config(), cache)
+    assert result.record.status == "ok"
+    keys = {type(obj).__name__: key for key, (obj, _) in cache._mem.items()}
+    assert sorted(keys) == ["BinaryMask", "DepthField", "Raster"]
+    return result, keys
+
+
+def same_outputs(a, b) -> bool:
+    return (a.record.status, a.record.f1, a.record.rmse_m) \
+        == (b.record.status, b.record.f1, b.record.rmse_m) \
+        and np.array_equal(a.mask.values, b.mask.values) \
+        and np.array_equal(a.depth.depth.values, b.depth.depth.values) \
+        and np.array_equal(a.depth.wse.values, b.depth.wse.values)
+
+
+def test_entries_are_one_array_each(tmp_path, sweep_scene):
+    inputs = scene_inputs(sweep_scene)
+    cache_dir = str(tmp_path / "c")
+    result, keys = cached_entries(inputs, cache_dir)
+    assert sorted(os.listdir(cache_dir)) \
+        == sorted(key + ".npy" for key in keys.values())
+
+    def stored(kind):
+        return np.load(os.path.join(cache_dir, keys[kind] + ".npy"))
+
+    flood = inputs.flood
+    assert stored("Raster").dtype == np.float64
+    assert stored("Raster").shape == (flood.height, flood.width)
+    assert np.array_equal(stored("BinaryMask"), result.mask.values)
+    assert stored("BinaryMask").dtype == np.uint8
+    assert np.array_equal(stored("DepthField"),
+                          np.stack([result.depth.depth.values,
+                                    result.depth.wse.values]))
+    again = run_pipeline(inputs, depth_config(), StageCache(cache_dir))
+    assert same_outputs(again, result)
+    assert again.depth.depth.nodata == inputs.dem.nodata
+    assert again.depth.depth.geometry == inputs.dem.geometry
+
+
+def _float_values(path, result):
+    np.save(path, np.full(result.mask.values.shape, 0.5))
+
+
+def _two_d(path, result):
+    np.save(path, result.depth.depth.values)
+
+
+def _object_dtype(path, result):
+    np.save(path, np.array([1, "a"], dtype=object), allow_pickle=True)
+
+
+def _truncated(path, result):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:len(data) // 2])
+
+
+@pytest.mark.parametrize("kind, damage", [
+    ("BinaryMask", _float_values),   # a float array where a mask belongs
+    ("DepthField", _two_d),          # (H, W) where (2, H, W) belongs
+    ("Raster", _object_dtype),
+    ("DepthField", _truncated),
+    ("BinaryMask", _truncated),
+])
+def test_bad_entry_is_a_logged_miss(tmp_path, sweep_scene, caplog, kind,
+                                    damage):
+    inputs = scene_inputs(sweep_scene)
+    cache_dir = str(tmp_path / "c")
+    cold, keys = cached_entries(inputs, cache_dir)
+    damage(os.path.join(cache_dir, keys[kind] + ".npy"), cold)
+    cache = StageCache(cache_dir)
+    with caplog.at_level("WARNING", logger="floodbench"):
+        again = run_pipeline(inputs, depth_config(), cache)
+    assert caplog.text.count("stage=cache status=corrupt") == 1
+    assert "key=" + keys[kind][:12] in caplog.text
+    assert (cache.hits, cache.misses) == (2, 1)
+    assert same_outputs(again, cold)
+    # the recompute replaced the bad entry
+    fresh = StageCache(cache_dir)
+    assert same_outputs(run_pipeline(inputs, depth_config(), fresh), cold)
+    assert (fresh.hits, fresh.misses) == (3, 0)
+
+
+def test_npz_entries_of_the_old_format_are_misses(tmp_path, sweep_scene,
+                                                  caplog):
+    # the old format kept one zip per key (kind, geometry, nodata, values);
+    # its files are misses here, under their own name or a .npy name
+    inputs = scene_inputs(sweep_scene)
+    cold, keys = cached_entries(inputs, str(tmp_path / "c"))
+    entries = {keys["Raster"]: dict(kind="raster", values=inputs.flood.values,
+                                    nodata=inputs.flood.nodata),
+               keys["BinaryMask"]: dict(kind="mask", values=cold.mask.values),
+               keys["DepthField"]: dict(kind="depth",
+                                        depth=cold.depth.depth.values,
+                                        wse=cold.depth.wse.values)}
+    for name, suffix in (("npz", ".npz"), ("renamed", ".npy")):
+        cache_dir = tmp_path / name
+        cache_dir.mkdir()
+        for key, payload in entries.items():
+            with open(cache_dir / (key + suffix), "wb") as fh:
+                np.savez(fh, geo=np.zeros(5), **payload)
+        cache = StageCache(str(cache_dir))
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="floodbench"):
+            again = run_pipeline(inputs, depth_config(), cache)
+        assert same_outputs(again, cold)
+        assert (cache.hits, cache.misses) == (0, 3)
+        assert caplog.text.count("stage=cache status=corrupt") \
+            == (3 if suffix == ".npy" else 0)
+
+
+def test_sweep_digests_each_external_file_once(tmp_path, sweep_scene,
+                                               monkeypatch):
+    from collections import Counter
+    scene_dir = tmp_path / "scene"
+    write_scene(sweep_scene, str(scene_dir), ext="fbr")
+    inputs = scene_inputs(sweep_scene)
+    inputs.external_reference_path = str(scene_dir / "reference_intensity.fbr")
+    mappers = [MapperConfig("global_threshold", selector="otsu"),
+               MapperConfig("change_detection", selector="otsu")]
+    mappers += [MapperConfig("external_mask", external_label=label,
+                             external_path=str(scene_dir / name))
+                for label, name in (("cnn", "truth_mask.fbr"),
+                                    ("rf", "permanent_water.fbr"))]
+    configs = build_config_specs(
+        [FilterConfig("none"), FilterConfig("lee", k=1),
+         FilterConfig("external", path=str(scene_dir / "clean_backscatter.fbr"))],
+        [(m, MorphologyConfig(False)) for m in mappers])
+    calls = Counter()
+    real = ensemble.digest_file
+
+    def counted(path):
+        calls[path] += 1
+        return real(path)
+
+    monkeypatch.setattr(ensemble, "digest_file", counted)
+    memoised = read_manifest(sweep(SweepPlan(
+        inputs, configs, str(tmp_path / "o1"), write_outputs=False)))
+    assert set(calls) == {str(scene_dir / name) for name in (
+        "reference_intensity.fbr", "truth_mask.fbr", "permanent_water.fbr",
+        "clean_backscatter.fbr")}
+    assert max(calls.values()) == 1
+    # digesting on every lookup, as before the memo, gives the same rows
+    monkeypatch.setattr(PipelineInputs, "file_digest",
+                        lambda self, path: real(path))
+    every_time = read_manifest(sweep(SweepPlan(
+        scene_inputs(sweep_scene), configs, str(tmp_path / "o2"),
+        write_outputs=False)))
+    assert manifest_multiset(memoised) == manifest_multiset(every_time)
+    assert sum(r["status"] == "ok" for r in memoised) == len(configs)
+
+
+def test_external_filter_takes_the_flood_nodata(tmp_path, sweep_scene):
+    from floodbench.raster import Raster, read_raster, write_raster
+    from floodbench.speckle import apply_filter_config
+    flood = sweep_scene.speckled_intensity
+    clean = sweep_scene.clean_backscatter.values
+    border = np.zeros(clean.shape, dtype=bool)
+    border[:4, :] = border[-4:, :] = border[:, :4] = border[:, -4:] = True
+    paths = {}
+    for name, nodata in (("same", flood.nodata), ("other", -1.0)):
+        paths[name] = str(tmp_path / (name + ".fbr"))
+        write_raster(flood.like(np.where(border, nodata, clean), nodata),
+                     paths[name])
+    other = read_raster(paths["other"])
+    assert other.nodata != flood.nodata
+    out = apply_filter_config(flood, FilterConfig("external",
+                                                  path=paths["other"]))
+    assert isinstance(out, Raster) and out.geometry == flood.geometry
+    assert out.nodata == flood.nodata
+    assert np.array_equal(out.finite, other.finite)
+    assert np.array_equal(out.values[out.finite], other.values[other.finite])
+    # the same masks as from the file written with the flood's nodata,
+    # which the filter passes through unchanged
+    inputs = scene_inputs(sweep_scene)
+    mappers = [MapperConfig("global_threshold", selector=s)
+               for s in ("otsu", "ki")]
+    mappers += [MapperConfig("local_threshold", min_tile_side=100,
+                             ad_min=1.9, bc_min=0.98, sr_min=0.05),
+                MapperConfig("active_contour",
+                             chan_vese=ChanVeseParams(alpha=0.1)),
+                MapperConfig("change_detection", selector="ki")]
+    masks = {}
+    for name, path in paths.items():
+        configs = build_config_specs(
+            [FilterConfig("external", path=path)],
+            [(m, MorphologyConfig(False)) for m in mappers])
+        results = [run_pipeline(inputs, cfg, StageCache()) for cfg in configs]
+        masks[name] = [r.mask.values if r.mask is not None
+                       else r.record.reason for r in results]
+    assert sum(isinstance(m, np.ndarray) for m in masks["same"]) >= 4
+    for same, other_mask in zip(masks["same"], masks["other"]):
+        assert np.array_equal(same, other_mask)
