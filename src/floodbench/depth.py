@@ -9,19 +9,22 @@ terrain, clamped non-negative, and is nodata off the flooded support.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import DegenerateError, InputError
 from .raster import (BinaryMask, DRY, FLOODED, JsonParams, Raster,
-                     _k_nearest, nearest_feature, require_same_grid)
+                     nearest_table, require_same_grid)
 
 DEPTH_METHODS = ("fwdet", "flexth", "cross_section")
 TABLE_SLOPE = (None, 5.0, 10.0)
 TABLE_SMOOTHING = (3, 5, 10)
 TABLE_NEIGHBORS = (5, 10, 20)
+# FLEXTH asks for at least this many neighbours and takes its K as a
+# prefix, so every K of TABLE_NEIGHBORS reads one shared table
+FLEXTH_TABLE_K = max(TABLE_NEIGHBORS)
 
 
 @dataclass(frozen=True)
@@ -67,9 +70,9 @@ class BoundarySet:
     """Flood-boundary cells with their DEM elevations.
 
     Cells are flooded with at least one dry 4-neighbor, listed in row-major
-    order, optionally filtered to a maximum percent slope. FLEXTH passes
-    them straight to ``raster._k_nearest``, whose (d², row, col) ranking
-    relies on that order.
+    order, optionally filtered to a maximum percent slope. FwDET and FLEXTH
+    pass them straight to ``raster.nearest_table``, whose (d², row, col)
+    ranking relies on that order.
     """
 
     cells: np.ndarray       # (B, 2) int rows/cols
@@ -139,20 +142,26 @@ def _field_from_wse(dem: Raster, fl: np.ndarray, wse_cells: np.ndarray,
     return DepthField(dem.like(depth), dem.like(wse))
 
 
-def fwdet(mask: BinaryMask, dem: Raster, cfg: DepthConfig) -> DepthField:
+def fwdet(mask: BinaryMask, dem: Raster, cfg: DepthConfig,
+          near=nearest_table) -> DepthField:
     """Nearest-boundary flat-water depth with 3x3 smoothing passes.
 
     Every flooded cell takes the DEM elevation of its nearest boundary
-    cell as the water surface; depth is clamped non-negative and then
-    smoothed ``cfg.smoothing_iterations`` times by a 3x3 mean over flooded
-    cells only, re-clamping after each pass. The reported WSE is the
-    pre-smoothing surface.
+    cell as the water surface (ties toward the lowest row, then column);
+    depth is clamped non-negative and then smoothed
+    ``cfg.smoothing_iterations`` times by a 3x3 mean over flooded cells
+    only, re-clamping after each pass. The reported WSE is the
+    pre-smoothing surface. The nearest cells come from
+    ``near(boundary cells, flooded cells, 1)``, by default
+    ``raster.nearest_table``: a distance transform with a lattice tie
+    repair. A sweep passes a ``near`` that shares one table among the
+    configs that query the same boundary.
     """
     boundary = extract_boundary(mask, dem, cfg.slope_threshold)
     fl = mask.values == FLOODED
     cells = np.argwhere(fl)
-    near = nearest_feature(boundary.cells, cells)
-    wse_cells = dem.values[near.cells[:, 0], near.cells[:, 1]]
+    idx, _ = near(boundary.cells, cells, 1)
+    wse_cells = boundary.elevations[idx[:, 0]]
     field = _field_from_wse(dem, fl, wse_cells, cells)
     depth = np.where(fl, field.depth.values, 0.0)
     smoothed = _smooth_depth(depth, fl, cfg.smoothing_iterations or 0)
@@ -176,14 +185,19 @@ def _smooth_depth(depth: np.ndarray, fl: np.ndarray, iterations: int) -> np.ndar
 
 
 def flexth(mask: BinaryMask, dem: Raster, cfg: DepthConfig,
-           exclusion: BinaryMask | None = None) -> DepthField:
+           exclusion: BinaryMask | None = None,
+           near=nearest_table) -> DepthField:
     """Inverse-distance weighting of the K nearest boundary elevations.
 
     The K nearest boundary cells are ranked by (squared distance, row,
-    col) and found exactly by a k-d tree query (all boundary cells when K
-    exceeds the boundary size). Distances are Euclidean in cells with a
-    floor of one cell; weights are 1/d normalized over the K neighbors,
-    summed nearest first. When an exclusion mask is given, the
+    col) and found exactly (all boundary cells when K exceeds the
+    boundary size). They are the first K columns of
+    ``near(boundary cells, flooded cells, max(K, FLEXTH_TABLE_K))``, by
+    default ``raster.nearest_table``'s k-d tree query: the ranking is a
+    total order, so a prefix of a longer table is exact, and the configs
+    of one boundary can share one table. Distances are Euclidean in cells
+    with a floor of one cell; weights are 1/d normalized over the K
+    neighbors, summed nearest first. When an exclusion mask is given, the
     flood first grows through every exclusion cell 4-connected to it, and
     the grown cells receive interpolated surfaces like any other flooded
     cell.
@@ -194,11 +208,13 @@ def flexth(mask: BinaryMask, dem: Raster, cfg: DepthConfig,
     cells = np.argwhere(fl)
     src = boundary.cells
     k = min(cfg.max_neighbors, src.shape[0])
-    near, d2 = _k_nearest(src, cells, k)
+    table = min(max(cfg.max_neighbors, FLEXTH_TABLE_K), src.shape[0])
+    idx, d2 = near(src, cells, table)
+    idx, d2 = idx[:, :k], d2[:, :k]
     dist = np.sqrt(d2.astype(np.float64))
     w = 1.0 / np.maximum(dist, 1.0)
     wn = w / w.sum(axis=1, keepdims=True)
-    wse_cells = np.sum(wn * boundary.elevations[near], axis=1)
+    wse_cells = np.sum(wn * boundary.elevations[idx], axis=1)
     return _field_from_wse(dem, fl, wse_cells, cells)
 
 
@@ -317,8 +333,12 @@ def read_cross_sections(path: str) -> list[CrossSection]:
 
 @dataclass(frozen=True)
 class DepthAux:
+    """Side inputs of the depth estimators. ``near(src, qry, k)`` gives
+    FwDET and FLEXTH their nearest-boundary tables."""
+
     exclusion: BinaryMask | None = None
     sections: tuple = ()
+    near: Callable = nearest_table
 
 
 class DepthOutput(NamedTuple):
@@ -331,9 +351,10 @@ def apply_depth_config(mask: BinaryMask, dem: Raster, cfg: DepthConfig,
     """Run one depth estimator; cross-section output is a sparse field."""
     aux = aux or DepthAux()
     if cfg.method == "fwdet":
-        return DepthOutput(fwdet(mask, dem, cfg), None)
+        return DepthOutput(fwdet(mask, dem, cfg, aux.near), None)
     if cfg.method == "flexth":
-        return DepthOutput(flexth(mask, dem, cfg, aux.exclusion), None)
+        return DepthOutput(flexth(mask, dem, cfg, aux.exclusion, aux.near),
+                           None)
     if cfg.method == "cross_section":
         if not aux.sections:
             raise InputError("cross_section requires section polylines")

@@ -44,8 +44,8 @@ from .mapping import (ChanVeseParams, MapperAux, MapperConfig,
 from .metrics import (MetricsRecord, accuracy, confusion, depth_rmse, f1,
                       flooded_area_km2, read_watermarks, rmse_at_points)
 from .raster import (BinaryMask, Raster, canonical_json, mask_like,
-                     read_mask, read_raster, require_same_grid, temp_file,
-                     write_mask, write_raster)
+                     nearest_table, read_mask, read_raster, require_same_grid,
+                     temp_file, write_mask, write_raster)
 from .speckle import (FilterConfig, SpeckleModel, TABLE_ALPHA,
                       TABLE_WINDOW_SIDES, TABLE_XI, apply_filter_config)
 
@@ -209,7 +209,10 @@ class StageCache:
     message (a 0-d string array) and raises the same message on every hit;
     other errors store nothing. Keys are content hashes of the stage
     configuration plus all input digests, so equal keys imply
-    byte-identical outputs.
+    byte-identical outputs. An entry looked up with ``persist=False`` lives
+    in the memory tier only: it is never read from or written to disk. A
+    store that fails (a full disk, say) is logged, and the output is held
+    in memory and returned as if it had been stored.
     """
 
     def __init__(self, directory: str | None = None):
@@ -230,22 +233,25 @@ class StageCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, key + ".npy")
 
-    def get_or_compute(self, key: str, kind: str, compute, decode=np.asarray):
+    def get_or_compute(self, key: str, kind: str, compute, decode=np.asarray,
+                       persist: bool = True):
         """Return (object, cache_hit) for the keyed stage output; a stored
         failure raises its DegenerateError again. ``decode`` rebuilds the
         output from its stored array (the default keeps the array, as a
-        tile table is); ``kind`` names the output for tracing."""
+        tile table is); ``kind`` names the output for tracing. With
+        ``persist=False`` the disk tier is skipped."""
+        disk = persist and bool(self.directory)
         entry = self._recall(key)
         if entry is None:
             with self._lock_for(key):
                 try:
                     entry = self._recall(key)
-                    if entry is None and self.directory:
+                    if entry is None and disk:
                         entry = self._decoded(key, kind, decode)
                         if entry is not None:
                             self._remember(key, kind, entry)
                     if entry is None:
-                        return self._compute(key, kind, compute), False
+                        return self._compute(key, kind, compute, disk), False
                 finally:
                     # a thread still waiting on this lock finds the entry
                     # the holder stored (or computes it again if it was
@@ -258,7 +264,7 @@ class StageCache:
             raise DegenerateError(str(entry))
         return entry, True
 
-    def _compute(self, key: str, kind: str, compute):
+    def _compute(self, key: str, kind: str, compute, disk):
         with self._guard:
             self.misses += 1
         try:
@@ -266,14 +272,20 @@ class StageCache:
         except DegenerateError as exc:
             # deterministic given the key: later lookups raise it again
             # (held without the traceback, which pins the stage's frames)
-            self._keep(key, kind, DegenerateError(str(exc)))
+            self._keep(key, kind, DegenerateError(str(exc)), disk)
             raise
-        self._keep(key, kind, obj)
+        self._keep(key, kind, obj, disk)
         return obj
 
-    def _keep(self, key: str, kind: str, obj) -> None:
-        if self.directory:
-            self._store(key, obj)
+    def _keep(self, key: str, kind: str, obj, disk) -> None:
+        if disk:
+            try:
+                self._store(key, obj)
+            except OSError as exc:
+                # the cache only saves work: a computed output is still
+                # good, and a later run stores it again
+                log.warning("stage=cache status=unwritable key=%s "
+                            "error=%s: %s", key[:12], type(exc).__name__, exc)
         self._remember(key, kind, obj)
 
     def _recall(self, key: str):
@@ -412,7 +424,7 @@ class PipelineResult:
 # by older code are misses rather than stale hits.
 CACHE_FORMAT = 2
 STAGE_VERSIONS = {"filter": 1, "filter_ref": 1, "map": 1, "morph": 1,
-                  "tiles": 1, "depth": 1}
+                  "tiles": 1, "depth": 1, "nearest": 1}
 
 
 def _stage_key(stage: str, params_json: str, *digests: str) -> str:
@@ -424,19 +436,32 @@ def _stage_key(stage: str, params_json: str, *digests: str) -> str:
 
 
 def _node(cache: StageCache, stage: str, params_json: str, parents,
-          kind: str, compute, label: str, decode):
+          kind: str, compute, label: str, decode, persist: bool = True):
     """The versioned key of one stage output, from its parameters (as
     canonical JSON) and its parents' keys or digests, and a getter that
     loads (rebuilding the output from its stored array with ``decode``) or
-    computes it."""
+    computes it; ``persist=False`` keeps the output in memory only."""
     key = _stage_key(stage, params_json, *parents)
 
     def get():
-        obj, hit = cache.get_or_compute(key, kind, compute, decode)
+        obj, hit = cache.get_or_compute(key, kind, compute, decode, persist)
         log.info("stage=%s config=%s status=%s", stage, label,
                  "cached" if hit else "computed")
         return obj
     return key, get
+
+
+def _nearest(cache: StageCache, src: np.ndarray, qry: np.ndarray,
+             k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``nearest_table(src, qry, k)`` through a memory-only node keyed on
+    the content of the boundary cells, the queried cells and k, so the
+    depth configs of a mask that query one boundary share one table. It is
+    held as one (2, Q, k) int64 array: indices, then squared distances."""
+    table = _node(cache, "nearest", canonical_json(k),
+                  [digest_bytes(src.tobytes()), digest_bytes(qry.tobytes())],
+                  "nearest", lambda: np.stack(nearest_table(src, qry, k)),
+                  "k=%d" % k, np.asarray, persist=False)[1]()
+    return table[0], table[1]
 
 
 def _filtered(inputs: PipelineInputs, fcfg: FilterConfig, cache: StageCache,
@@ -514,7 +539,9 @@ def run_pipeline(inputs: PipelineInputs, cfg: ConfigSpec,
     exception, so sweeps always run to completion; an exception that is not
     a FloodbenchError is recorded with reason ``internal: <Type>: <msg>``.
     When ``out_dir`` is set the produced rasters land under
-    out_dir/<config_id>/.
+    out_dir/<config_id>/; a write that fails makes an ok record failed
+    with reason ``output: <Type>: <msg>``. ``wall_ms`` leaves the writes
+    out.
     """
     cache = cache or StageCache()
     rec = MetricsRecord(
@@ -550,7 +577,8 @@ def run_pipeline(inputs: PipelineInputs, cfg: ConfigSpec,
                 "depth",
                 lambda: apply_depth_config(
                     mask, inputs.dem, cfg.depth,
-                    DepthAux(inputs.exclusion, tuple(inputs.sections))).field,
+                    DepthAux(inputs.exclusion, tuple(inputs.sections),
+                             functools.partial(_nearest, cache))).field,
                 cfg.depth.describe(),
                 lambda a: DepthField(inputs.dem.like(a[0]),
                                      inputs.dem.like(a[1])))[1]()
@@ -573,10 +601,18 @@ def run_pipeline(inputs: PipelineInputs, cfg: ConfigSpec,
     rec.wall_ms = (time.perf_counter() - t0) * 1000.0
     if out_dir and mask is not None:
         cfg_dir = os.path.join(out_dir, cfg.config_id)
-        write_mask(mask, os.path.join(cfg_dir, "mask.fbr"))
-        if dfield is not None:
-            write_raster(dfield.depth, os.path.join(cfg_dir, "depth.fbr"))
-            write_raster(dfield.wse, os.path.join(cfg_dir, "wse.fbr"))
+        try:
+            write_mask(mask, os.path.join(cfg_dir, "mask.fbr"))
+            if dfield is not None:
+                write_raster(dfield.depth, os.path.join(cfg_dir, "depth.fbr"))
+                write_raster(dfield.wse, os.path.join(cfg_dir, "wse.fbr"))
+        except Exception as exc:
+            # a record that failed already keeps its first reason
+            reason = "output: %s: %s" % (type(exc).__name__, exc)
+            log.warning("stage=output config=%s status=failed reason=%s",
+                        cfg.config_id, reason)
+            if rec.status == "ok":
+                rec.status, rec.reason = "failed", reason
     return PipelineResult(mask, dfield, rec)
 
 

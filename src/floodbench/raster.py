@@ -500,12 +500,74 @@ def _k_nearest(src: np.ndarray, qry: np.ndarray,
     return idx, d2
 
 
+def _nearest_one(src: np.ndarray,
+                 qry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest source of every query, ranked by (d², row, col).
+
+    Takes ``src`` and ``qry`` as ``_k_nearest`` does and returns its k = 1
+    result. A Euclidean distance transform (Maurer, Qi & Raghavan 2003) of
+    the bounding box of sources and queries gives each query one nearest
+    source, whose d² is recomputed in int64; it breaks ties in its own
+    order. Every source tied with it lies at an offset (a, b) from the
+    query with a² + b² = d², and among the offsets of one d² the (a, b)
+    order is the (row, col) order of the cells they reach. So the first
+    offset, in (a, b) order, that lands on a source is the answer. The
+    offsets are enumerated per call, out to the largest d² of the call.
+    """
+    if qry.shape[0] == 0:
+        return np.empty((0, 1), dtype=np.int64), np.empty((0, 1), np.int64)
+    lo = np.minimum(src.min(axis=0), qry.min(axis=0))
+    shape = tuple(np.maximum(src.max(axis=0), qry.max(axis=0)) - lo + 1)
+    s, q = src - lo, qry - lo
+    # the lowest index of each source cell (duplicates are adjacent in
+    # lexsorted order), -1 off the sources
+    first = np.flatnonzero(np.r_[True, (src[1:] != src[:-1]).any(axis=1)])
+    at = np.full(shape, -1, dtype=np.int64)
+    at[s[first, 0], s[first, 1]] = first
+    ft = ndimage.distance_transform_edt(at < 0, return_distances=False,
+                                        return_indices=True)
+    d = q - ft[:, q[:, 0], q[:, 1]].T
+    d2 = (d * d).sum(axis=1)
+    r = int(np.sqrt(d2.max())) + 1
+    a, b = np.mgrid[-r:r + 1, -r:r + 1]
+    od2 = (a * a + b * b).ravel()
+    order = np.lexsort((b.ravel(), a.ravel(), od2))
+    off = np.stack([a.ravel(), b.ravel()], axis=1)[order]
+    od2 = od2[order]
+    # every offset of each query's d², flattened query by query
+    start = np.searchsorted(od2, d2, side="left")
+    count = np.searchsorted(od2, d2, side="right") - start
+    owner = np.repeat(np.arange(q.shape[0]), count)
+    pos = np.arange(owner.size) + np.repeat(start - np.cumsum(count) + count,
+                                            count)
+    cand = q[owner] + off[pos]
+    inside = ((cand >= 0) & (cand < shape)).all(axis=1)
+    hit = np.full(owner.size, -1, dtype=np.int64)
+    hit[inside] = at[cand[inside, 0], cand[inside, 1]]
+    found = np.flatnonzero(hit >= 0)
+    # the distance transform's own source is a hit, so each query has one
+    lead = found[np.r_[True, owner[found[1:]] != owner[found[:-1]]]]
+    return hit[lead][:, None], d2[:, None]
+
+
+def nearest_table(src: np.ndarray, qry: np.ndarray,
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (Q, k) source indices and squared distances of every query's k
+    nearest sources, ranked by (d², row, col); arguments as for
+    ``_k_nearest``. k = 1 reads a distance transform (``_nearest_one``);
+    larger k queries a k-d tree (``_k_nearest``)."""
+    return _nearest_one(src, qry) if k == 1 else _k_nearest(src, qry, k)
+
+
 def nearest_feature(sources: np.ndarray, queries: np.ndarray) -> NearestResult:
     """Exact Euclidean nearest source cell for every query cell.
 
     Ties are broken toward the lowest row index, then the lowest column
     index. Distances are exact (integer squared distances under the hood).
-    This is the k = 1 case of the k-d tree query ``_k_nearest``.
+    The query is a Euclidean distance transform over the bounding box of
+    sources and queries, followed by a lattice tie repair
+    (``_nearest_one``); no k-d tree is built. Its memory grows with the
+    area of that box.
 
     Args:
         sources: (B, 2) integer (row, col) array, B >= 1.
@@ -516,5 +578,5 @@ def nearest_feature(sources: np.ndarray, queries: np.ndarray) -> NearestResult:
         raise InputError("empty source set")
     qry = np.atleast_2d(np.asarray(queries, dtype=np.int64))
     src = src[np.lexsort((src[:, 1], src[:, 0]))]
-    idx, d2 = _k_nearest(src, qry, 1)
+    idx, d2 = _nearest_one(src, qry)
     return NearestResult(src[idx[:, 0]], np.sqrt(d2[:, 0].astype(np.float64)))

@@ -1,9 +1,12 @@
 """CLI subcommands: outputs, exit codes, and diagnostics."""
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import floodbench
 from floodbench.cli import main
 from floodbench.metrics import read_manifest
 from floodbench.raster import (mask_like, read_mask, read_raster, write_mask,
@@ -297,3 +300,58 @@ def test_sweep_corrupt_cache_entries_are_recomputed(tmp_path, scene_dir,
     assert main(["-v", "sweep", "--plan", str(plan), "--out-dir",
                  str(tmp_path / "o3")]) == 0
     assert "status=corrupt" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# startup: the k-d tree module loads only for FLEXTH
+
+PIPELINE_SCRIPT = """
+import sys
+from floodbench.depth import DepthConfig
+from floodbench.ensemble import (PipelineInputs, StageCache, ConfigSpec,
+                                 run_pipeline)
+from floodbench.mapping import MapperConfig, MorphologyConfig
+from floodbench.speckle import FilterConfig
+from floodbench.synth import SceneSpec, generate_scene
+
+scene = generate_scene(SceneSpec(width=48, height=48, looks=8.0, seed=37,
+                                 channel_half_width=150.0))
+inputs = PipelineInputs(flood=scene.speckled_intensity, dem=scene.dem,
+                        looks=8.0)
+cache = StageCache()
+
+
+def run(depth):
+    cfg = ConfigSpec(FilterConfig("none"),
+                     MapperConfig("global_threshold", selector="otsu"),
+                     MorphologyConfig(False), depth)
+    assert run_pipeline(inputs, cfg, cache).record.status == "ok"
+
+
+for slope in (None, 5.0, 10.0):
+    run(DepthConfig("fwdet", slope_threshold=slope, smoothing_iterations=3))
+print("fwdet", "scipy.spatial" in sys.modules)
+run(DepthConfig("flexth", max_neighbors=5))
+print("flexth", "scipy.spatial" in sys.modules)
+"""
+
+
+def python_lines(code: str) -> list[str]:
+    """The stdout lines of ``code`` run by a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        floodbench.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split("\n")[:-1]
+
+
+def test_cli_import_loads_no_kd_tree_module():
+    assert python_lines("import sys, floodbench.cli\n"
+                        "print('scipy.spatial' in sys.modules)") == ["False"]
+
+
+def test_fwdet_pipeline_loads_no_kd_tree_module():
+    # FLEXTH, which still queries the tree, shows that the check can fail
+    assert python_lines(PIPELINE_SCRIPT) == ["fwdet False", "flexth True"]

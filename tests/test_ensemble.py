@@ -1,12 +1,14 @@
 """Enumeration golden counts, pipeline caching, sweep determinism, and
 representative-map sampling."""
+import errno
 import os
 
 import numpy as np
 import pytest
 
-from floodbench import ensemble
-from floodbench.depth import DepthConfig
+from floodbench import ensemble, raster
+from floodbench.depth import (DepthAux, DepthConfig, apply_depth_config,
+                              expand_into_exclusion, extract_boundary)
 from floodbench.ensemble import (ConfigSpec, PipelineInputs, StageCache,
                                  SweepPlan, build_config_specs,
                                  enumerate_depth, enumerate_filters,
@@ -16,6 +18,7 @@ from floodbench.ensemble import (ConfigSpec, PipelineInputs, StageCache,
 from floodbench.errors import InputError
 from floodbench.mapping import MapperConfig, MorphologyConfig, ChanVeseParams
 from floodbench.metrics import MetricsRecord, read_manifest
+from floodbench.raster import mask_like
 from floodbench.speckle import FilterConfig
 from floodbench.synth import write_scene
 
@@ -203,18 +206,20 @@ def test_version_bump_turns_hit_into_miss(tmp_path, sweep_scene,
                      DepthConfig("fwdet", smoothing_iterations=3))
     cache = StageCache(str(tmp_path / "cache"))
     run_pipeline(inputs, cfg, cache)
-    assert (cache.hits, cache.misses) == (0, 3)
+    # filter, map, depth, and the depth field's memory-only neighbour table
+    assert (cache.hits, cache.misses) == (0, 4)
     run_pipeline(inputs, cfg, cache)
-    assert (cache.hits, cache.misses) == (3, 3)
+    assert (cache.hits, cache.misses) == (3, 4)
     if stage is None:
         # a cache-format bump invalidates every stage
         monkeypatch.setattr(ensemble, "CACHE_FORMAT",
                             ensemble.CACHE_FORMAT + 1)
-        expected = (3, 6)
+        expected = (3, 8)
     else:
         monkeypatch.setitem(ensemble.STAGE_VERSIONS, stage,
                             ensemble.STAGE_VERSIONS[stage] + 1)
-        expected = (5, 4)
+        # a recomputed depth field finds its neighbour table in memory
+        expected = (6, 5) if stage == "depth" else (5, 5)
     result = run_pipeline(inputs, cfg, cache)
     assert result.record.status == "ok"
     assert (cache.hits, cache.misses) == expected
@@ -296,15 +301,16 @@ def test_morph_version_bump_misses_only_morph(tmp_path, sweep_scene,
                      DepthConfig("fwdet", smoothing_iterations=3))
     cache = StageCache(str(tmp_path / "cache"))
     first = run_pipeline(inputs, cfg, cache)
-    assert (cache.hits, cache.misses) == (0, 4)
+    # filter, morph, base mask, depth and its neighbour table
+    assert (cache.hits, cache.misses) == (0, 5)
     run_pipeline(inputs, cfg, cache)
     # a warm morphology hit loads neither the base mask nor recomputes it
-    assert (cache.hits, cache.misses) == (3, 4)
+    assert (cache.hits, cache.misses) == (3, 5)
     monkeypatch.setitem(ensemble.STAGE_VERSIONS, "morph",
                         ensemble.STAGE_VERSIONS["morph"] + 1)
     bumped = run_pipeline(inputs, cfg, cache)
     # filter and base mask and depth hit; morphology recomputes
-    assert (cache.hits, cache.misses) == (6, 5)
+    assert (cache.hits, cache.misses) == (6, 6)
     assert calls == ["map", "morph", "morph"]
     assert np.array_equal(bumped.mask.values, first.mask.values)
     assert bumped.record.rmse_m == first.record.rmse_m
@@ -989,11 +995,13 @@ def depth_config():
 
 def cached_entries(inputs, cache_dir):
     """Run depth_config() into cache_dir; return its result and the key of
-    each entry by output type (filter, map, depth)."""
+    each entry by output type (filter, map, depth), leaving out the
+    memory-only neighbour table."""
     cache = StageCache(cache_dir)
     result = run_pipeline(inputs, depth_config(), cache)
     assert result.record.status == "ok"
-    keys = {type(obj).__name__: key for key, (obj, _) in cache._mem.items()}
+    keys = {type(obj).__name__: key for key, (obj, _) in cache._mem.items()
+            if not isinstance(obj, np.ndarray)}
     assert sorted(keys) == ["BinaryMask", "DepthField", "Raster"]
     return result, keys
 
@@ -1067,7 +1075,9 @@ def test_bad_entry_is_a_logged_miss(tmp_path, sweep_scene, caplog, kind,
         again = run_pipeline(inputs, depth_config(), cache)
     assert caplog.text.count("stage=cache status=corrupt") == 1
     assert "key=" + keys[kind][:12] in caplog.text
-    assert (cache.hits, cache.misses) == (2, 1)
+    # a recomputed depth field computes its neighbour table too
+    assert (cache.hits, cache.misses) \
+        == ((2, 2) if kind == "DepthField" else (2, 1))
     assert same_outputs(again, cold)
     # the recompute replaced the bad entry
     fresh = StageCache(cache_dir)
@@ -1098,7 +1108,7 @@ def test_npz_entries_of_the_old_format_are_misses(tmp_path, sweep_scene,
         with caplog.at_level("WARNING", logger="floodbench"):
             again = run_pipeline(inputs, depth_config(), cache)
         assert same_outputs(again, cold)
-        assert (cache.hits, cache.misses) == (0, 3)
+        assert (cache.hits, cache.misses) == (0, 4)
         assert caplog.text.count("stage=cache status=corrupt") \
             == (3 if suffix == ".npy" else 0)
 
@@ -1185,3 +1195,171 @@ def test_external_filter_takes_the_flood_nodata(tmp_path, sweep_scene):
     assert sum(isinstance(m, np.ndarray) for m in masks["same"]) >= 4
     for same, other_mask in zip(masks["same"], masks["other"]):
         assert np.array_equal(same, other_mask)
+
+
+# ---------------------------------------------------------------------------
+# nearest-boundary tables: memory-only entries shared by the depth configs
+
+
+def shared_table_setup(scene):
+    """Inputs with a DEM steep enough that slope threshold 5 drops boundary
+    cells (None and 10 keep them all) and an exclusion strip the flood
+    grows into; one mask with the 18 fwdet/flexth configs."""
+    inputs = scene_inputs(scene)
+    inputs.dem = scene.dem.like(scene.dem.values * 1.5)
+    strip = np.zeros(scene.dem.values.shape, dtype=np.uint8)
+    strip[:, 40:56] = 1
+    inputs.exclusion = mask_like(scene.dem, strip)
+    depths = [d for d in enumerate_depth() if d.method != "cross_section"]
+    return inputs, build_config_specs(
+        [FilterConfig("median", k=1)],
+        [(MapperConfig("global_threshold", selector="otsu"),
+          MorphologyConfig(False))], depths)
+
+
+def distinct_boundaries(mask, dem) -> int:
+    return len({extract_boundary(mask, dem, s).cells.tobytes()
+                for s in (None, 5.0, 10.0)})
+
+
+def counted_queries(monkeypatch):
+    """Record k for every _k_nearest and _nearest_one call."""
+    calls = {"tree": [], "lookup": []}
+    real_tree, real_lookup = raster._k_nearest, raster._nearest_one
+
+    def tree(src, qry, k):
+        calls["tree"].append(k)
+        return real_tree(src, qry, k)
+
+    def lookup(src, qry):
+        calls["lookup"].append(1)
+        return real_lookup(src, qry)
+
+    monkeypatch.setattr(raster, "_k_nearest", tree)
+    monkeypatch.setattr(raster, "_nearest_one", lookup)
+    return calls
+
+
+def test_depth_configs_share_one_query_per_boundary(tmp_path, sweep_scene,
+                                                    monkeypatch):
+    inputs, configs = shared_table_setup(sweep_scene)
+    calls = counted_queries(monkeypatch)
+    looked_up = []
+    real_get = StageCache.get_or_compute
+
+    def get(self, key, kind, *args, **kwargs):
+        looked_up.append((key, kind))
+        return real_get(self, key, kind, *args, **kwargs)
+
+    monkeypatch.setattr(StageCache, "get_or_compute", get)
+    cache_dir = str(tmp_path / "c")
+    cache = StageCache(cache_dir)
+    results = [run_pipeline(inputs, cfg, cache) for cfg in configs]
+    assert all(r.record.status == "ok" for r in results)
+    mask = results[0].mask
+    grown = expand_into_exclusion(mask, inputs.exclusion)
+    # slope 5 drops cells, so two boundaries each; one tree query per
+    # distinct boundary of the grown mask, with K = 20
+    assert distinct_boundaries(mask, inputs.dem) == 2
+    assert distinct_boundaries(grown, inputs.dem) == 2
+    assert calls["tree"] == [20, 20]
+    assert len(calls["lookup"]) == 2
+    tables = {key for key, kind in looked_up if kind == "nearest"}
+    assert len(tables) == 4
+    # tables are held in memory and never written
+    stored = {name[:-len(".npy")] for name in os.listdir(cache_dir)}
+    assert not tables & stored
+    assert stored == {key for key, kind in looked_up if kind != "nearest"}
+    assert tables <= set(cache._mem)
+    # the depth fields equal those of direct, unshared calls
+    aux = DepthAux(inputs.exclusion)
+    for cfg, result in zip(configs, results):
+        direct = apply_depth_config(mask, inputs.dem, cfg.depth, aux).field
+        assert np.array_equal(result.depth.depth.values, direct.depth.values)
+        assert np.array_equal(result.depth.wse.values, direct.wse.values)
+
+
+def test_tables_larger_than_the_tier_are_recomputed(sweep_scene,
+                                                    monkeypatch):
+    inputs, configs = shared_table_setup(sweep_scene)
+    held = StageCache()
+    expected = [run_pipeline(inputs, cfg, held) for cfg in configs]
+    sizes = [obj.nbytes for obj, _ in held._mem.values()
+             if isinstance(obj, np.ndarray) and obj.shape[2] == 20]
+    # below one K = 20 table: each flexth config queries its own again,
+    # while the depth fields and the k = 1 tables stay held
+    monkeypatch.setattr(ensemble, "MEMORY_TIER_BYTES", min(sizes) - 1)
+    calls = counted_queries(monkeypatch)
+    cache = StageCache()
+    results = [run_pipeline(inputs, cfg, cache) for cfg in configs]
+    assert calls["tree"] == [20] * 9
+    assert len(calls["lookup"]) == 2
+    for got, want in zip(results, expected):
+        assert same_outputs(got, want)
+
+
+# ---------------------------------------------------------------------------
+# I/O faults
+
+
+def test_unwritable_cache_store_keeps_the_output(tmp_path, sweep_scene,
+                                                 monkeypatch, caplog):
+    inputs = scene_inputs(sweep_scene)
+    configs = small_config_set(None) + depth_plan_configs()
+    clean_dir = str(tmp_path / "clean_cache")
+    clean = sweep(SweepPlan(inputs, configs, str(tmp_path / "clean"),
+                            cache_dir=clean_dir, write_outputs=False))
+    real_save = np.save
+    saved = []
+
+    def full_disk(*args, **kwargs):
+        if len(saved) == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        saved.append(1)
+        return real_save(*args, **kwargs)
+
+    monkeypatch.setattr(np, "save", full_disk)
+    cache_dir = str(tmp_path / "cache")
+    with caplog.at_level("WARNING", logger="floodbench"):
+        full = sweep(SweepPlan(inputs, configs, str(tmp_path / "full"),
+                               cache_dir=cache_dir, write_outputs=False))
+    assert manifest_multiset(read_manifest(full)) \
+        == manifest_multiset(read_manifest(clean))
+    assert len(os.listdir(cache_dir)) == 3
+    assert "stage=cache status=unwritable key=" in caplog.text
+    assert "error=OSError: [Errno %d] No space left on device" \
+        % errno.ENOSPC in caplog.text
+    # with room again, a rerun on the same directory stores what is missing
+    monkeypatch.setattr(np, "save", real_save)
+    again = sweep(SweepPlan(inputs, configs, str(tmp_path / "again"),
+                            cache_dir=cache_dir, write_outputs=False))
+    assert manifest_multiset(read_manifest(again)) \
+        == manifest_multiset(read_manifest(clean))
+    assert sorted(os.listdir(cache_dir)) == sorted(os.listdir(clean_dir))
+
+
+def test_failed_output_write_is_one_failed_row(tmp_path, sweep_scene,
+                                               monkeypatch):
+    inputs = scene_inputs(sweep_scene)
+    configs = (small_config_set(None) + depth_plan_configs())[:10]
+    real_write = ensemble.write_mask
+    writes = []
+
+    def failing_disk(mask, path, fmt=None):
+        writes.append(path)
+        if len(writes) == 4:
+            raise OSError(errno.EIO, "Input/output error")
+        return real_write(mask, path, fmt)
+
+    monkeypatch.setattr(ensemble, "write_mask", failing_disk)
+    out_dir = str(tmp_path / "out")
+    rows = read_manifest(sweep(SweepPlan(inputs, configs, out_dir,
+                                         cache_dir=str(tmp_path / "c"))))
+    assert [r["config_id"] for r in rows] == [c.config_id for c in configs]
+    assert [r["status"] for r in rows] == ["ok"] * 3 + ["failed"] + ["ok"] * 6
+    assert rows[3]["reason"] \
+        == "output: OSError: [Errno %d] Input/output error" % errno.EIO
+    assert rows[3]["wall_ms"] != ""
+    for cfg in configs[:3] + configs[4:]:
+        assert os.path.exists(os.path.join(out_dir, cfg.config_id,
+                                           "mask.fbr"))

@@ -5,11 +5,12 @@ import pytest
 from scipy import ndimage
 
 from floodbench.errors import (GeometryError, InputError, RasterFormatError)
+from floodbench import raster
 from floodbench.raster import (ASCII_GRID, FLAT_BINARY, BinaryMask, Raster,
                                _k_nearest, connected_components, local_stats,
-                               mask_like, nearest_feature, read_mask,
-                               read_raster, require_same_grid, write_mask,
-                               write_raster)
+                               mask_like, nearest_feature, nearest_table,
+                               read_mask, read_raster, require_same_grid,
+                               write_mask, write_raster)
 
 from conftest import random_mask, random_raster
 from test_oracles import (RING_EXTRAS, rank_oracle, reflect_index,
@@ -396,6 +397,78 @@ def test_nearest_on_ring_ties_matches_oracle(extra):
     assert np.array_equal(res.cells, cells)
     assert np.array_equal(res.distance, dist)
     assert res.cells[0].tolist() == ring_325(50, 50)[0].tolist()
+
+
+# the distance-transform lookup of nearest_feature and nearest_table(k=1)
+# against the exhaustive scan and the (d², row, col) rank oracle
+
+
+def _check_nearest_one(src, queries):
+    """nearest_table(src, queries, 1) equals the rank oracle (indices and
+    int64 d²), and nearest_feature on shuffled sources equals the scan
+    oracle (cells and exact distances)."""
+    idx, d2 = nearest_table(src, queries, 1)
+    expect = rank_oracle(src, queries, 1)
+    assert np.array_equal(idx, expect)
+    diff = queries - src[expect[:, 0]]
+    assert d2.dtype == np.int64
+    assert np.array_equal(d2[:, 0], (diff * diff).sum(axis=1))
+    res = nearest_feature(src[::-1], queries)
+    cells, dist = _nearest_oracle(src, queries)
+    assert np.array_equal(res.cells, cells)
+    assert np.array_equal(res.distance, dist)
+
+
+@pytest.fixture
+def no_tree(monkeypatch):
+    """Fail any k-d tree query: the k = 1 lookup must not reach one."""
+    def refused(*args):
+        raise AssertionError("k-d tree queried")
+    monkeypatch.setattr(raster, "_k_nearest", refused)
+
+
+def test_nearest_lookup_matches_oracles_on_random_sets(no_tree):
+    # sources and queries with negative coordinates, queries reaching well
+    # outside the sources' box, and duplicate sources
+    rng = np.random.default_rng(15)
+    for trial in range(60):
+        span = int(rng.integers(2, 30))
+        n = int(rng.integers(1, 30))
+        base = rng.integers(-span, span + 1, size=(n, 2))
+        sources = np.concatenate([base, base[:int(rng.integers(0, 3))]])
+        src = sources[np.lexsort((sources[:, 1], sources[:, 0]))]
+        queries = rng.integers(-3 * span - 4, 3 * span + 5, size=(150, 2))
+        _check_nearest_one(src, queries)
+
+
+@pytest.mark.parametrize("extra", RING_EXTRAS)
+def test_nearest_lookup_ring_ties_match_oracles(no_tree, extra):
+    src = ring_sources(extra)
+    around = np.array([[i, j] for i in range(25, 76) for j in range(25, 76)])
+    _check_nearest_one(src, np.concatenate([RING_QUERIES, around]))
+
+
+@pytest.mark.parametrize("step", [3, 2])
+def test_nearest_lookup_lattice_ties_match_oracles(no_tree, step):
+    # step 3 is the lattice of
+    # test_k_nearest_lattice_ties_follow_row_col_order; on step 2, cells
+    # between two lattice cells tie at k = 1
+    src = np.array([[r, c] for r in range(0, 15, step)
+                    for c in range(0, 15, step)])
+    queries = np.array([[i, j] for i in range(-4, 19) for j in range(-4, 19)])
+    _check_nearest_one(src, queries)
+
+
+def test_nearest_table_k1_equals_the_tree_query():
+    rng = np.random.default_rng(16)
+    mask = random_mask(rng, 60, 50, p=0.5)
+    src = np.argwhere(mask.values == 1)
+    queries = np.argwhere(mask.values == 0)
+    idx, d2 = nearest_table(src, queries, 1)
+    tree_idx, tree_d2 = _k_nearest(src, queries, 1)
+    assert np.array_equal(idx, tree_idx) and np.array_equal(d2, tree_d2)
+    empty = nearest_table(src, np.empty((0, 2), dtype=np.int64), 1)
+    assert empty[0].shape == empty[1].shape == (0, 1)
 
 
 def test_mask_like_copies_geometry():
