@@ -505,10 +505,10 @@ def _nearest_one(src: np.ndarray,
     """Exact nearest source of every query, ranked by (d², row, col).
 
     Takes ``src`` and ``qry`` as ``_k_nearest`` does and returns its k = 1
-    result. A Euclidean distance transform (Maurer, Qi & Raghavan 2003) of
-    the bounding box of sources and queries gives each query one nearest
-    source, whose d² is recomputed in int64; it breaks ties in its own
-    order. Every source tied with it lies at an offset (a, b) from the
+    result. The Euclidean feature transform of ``ndimage``
+    (``distance_transform_edt`` with indices) over the bounding box of
+    sources and queries gives each query one nearest source, whose d² is
+    recomputed in int64; it breaks ties in its own order. Every source tied with it lies at an offset (a, b) from the
     query with a² + b² = d², and among the offsets of one d² the (a, b)
     order is the (row, col) order of the cells they reach. So the first
     offset, in (a, b) order, that lands on a source is the answer. The
