@@ -22,9 +22,6 @@ DEPTH_METHODS = ("fwdet", "flexth", "cross_section")
 TABLE_SLOPE = (None, 5.0, 10.0)
 TABLE_SMOOTHING = (3, 5, 10)
 TABLE_NEIGHBORS = (5, 10, 20)
-# FLEXTH asks for at least this many neighbours and takes its K as a
-# prefix, so every K of TABLE_NEIGHBORS reads one shared table
-FLEXTH_TABLE_K = max(TABLE_NEIGHBORS)
 
 
 @dataclass(frozen=True)
@@ -191,16 +188,15 @@ def flexth(mask: BinaryMask, dem: Raster, cfg: DepthConfig,
 
     The K nearest boundary cells are ranked by (squared distance, row,
     col) and found exactly (all boundary cells when K exceeds the
-    boundary size). They are the first K columns of
-    ``near(boundary cells, flooded cells, max(K, FLEXTH_TABLE_K))``, by
-    default ``raster.nearest_table``'s k-d tree query: the ranking is a
-    total order, so a prefix of a longer table is exact, and the configs
-    of one boundary can share one table. Distances are Euclidean in cells
-    with a floor of one cell; weights are 1/d normalized over the K
-    neighbors, summed nearest first. When an exclusion mask is given, the
-    flood first grows through every exclusion cell 4-connected to it, and
-    the grown cells receive interpolated surfaces like any other flooded
-    cell.
+    boundary size) by ``near(boundary cells, flooded cells, K)``, by
+    default ``raster.nearest_table``'s k-d tree query. A sweep passes a
+    ``near`` that reads them as the first K columns of one table shared
+    by the configs that query the same boundary. Distances are Euclidean
+    in cells with a floor of one cell; weights are 1/d normalized over
+    the K neighbors, summed nearest first. When an exclusion mask is
+    given, the flood first grows through every exclusion cell
+    4-connected to it, and the grown cells receive interpolated surfaces
+    like any other flooded cell.
     """
     work = mask if exclusion is None else expand_into_exclusion(mask, exclusion)
     boundary = extract_boundary(work, dem, cfg.slope_threshold)
@@ -208,9 +204,7 @@ def flexth(mask: BinaryMask, dem: Raster, cfg: DepthConfig,
     cells = np.argwhere(fl)
     src = boundary.cells
     k = min(cfg.max_neighbors, src.shape[0])
-    table = min(max(cfg.max_neighbors, FLEXTH_TABLE_K), src.shape[0])
-    idx, d2 = near(src, cells, table)
-    idx, d2 = idx[:, :k], d2[:, :k]
+    idx, d2 = near(src, cells, k)
     dist = np.sqrt(d2.astype(np.float64))
     w = 1.0 / np.maximum(dist, 1.0)
     wn = w / w.sum(axis=1, keepdims=True)

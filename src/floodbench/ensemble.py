@@ -453,15 +453,20 @@ def _node(cache: StageCache, stage: str, params_json: str, parents,
 
 def _nearest(cache: StageCache, src: np.ndarray, qry: np.ndarray,
              k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``nearest_table(src, qry, k)`` through a memory-only node keyed on
-    the content of the boundary cells, the queried cells and k, so the
-    depth configs of a mask that query one boundary share one table. It is
-    held as one (2, Q, k) int64 array: indices, then squared distances."""
-    table = _node(cache, "nearest", canonical_json(k),
+    """``nearest_table(src, qry, k)``, read from a memory-only node keyed
+    on the content of the boundary cells, the queried cells and the
+    table's width, so the depth configs of a mask that query one boundary
+    share one table. For k > 1 the table is max(k, 20) wide (all of the
+    boundary when that is smaller), and k is its first k columns: the
+    (d², row, col) ranking is a total order, so a prefix is exact, and
+    FLEXTH's K = 5, 10 and 20 share one table. It is held as one
+    (2, Q, width) int64 array: indices, then squared distances."""
+    width = k if k == 1 else min(max(k, max(TABLE_NEIGHBORS)), src.shape[0])
+    table = _node(cache, "nearest", canonical_json(width),
                   [digest_bytes(src.tobytes()), digest_bytes(qry.tobytes())],
-                  "nearest", lambda: np.stack(nearest_table(src, qry, k)),
-                  "k=%d" % k, np.asarray, persist=False)[1]()
-    return table[0], table[1]
+                  "nearest", lambda: np.stack(nearest_table(src, qry, width)),
+                  "k=%d" % width, np.asarray, persist=False)[1]()
+    return table[0, :, :k], table[1, :, :k]
 
 
 def _filtered(inputs: PipelineInputs, fcfg: FilterConfig, cache: StageCache,
@@ -610,7 +615,8 @@ def run_pipeline(inputs: PipelineInputs, cfg: ConfigSpec,
             # a record that failed already keeps its first reason
             reason = "output: %s: %s" % (type(exc).__name__, exc)
             log.warning("stage=output config=%s status=failed reason=%s",
-                        cfg.config_id, reason)
+                        cfg.config_id, reason,
+                        exc_info=not isinstance(exc, FloodbenchError))
             if rec.status == "ok":
                 rec.status, rec.reason = "failed", reason
     return PipelineResult(mask, dfield, rec)

@@ -508,14 +508,16 @@ def _nearest_one(src: np.ndarray,
     result. The Euclidean feature transform of ``ndimage``
     (``distance_transform_edt`` with indices) over the bounding box of
     sources and queries gives each query one nearest source, whose d² is
-    recomputed in int64; it breaks ties in its own order. Every source tied with it lies at an offset (a, b) from the
-    query with a² + b² = d², and among the offsets of one d² the (a, b)
-    order is the (row, col) order of the cells they reach. So the first
-    offset, in (a, b) order, that lands on a source is the answer. The
-    offsets are enumerated per call, out to the largest d² of the call.
+    recomputed in int64; it breaks ties in its own order. Every source
+    tied with it lies at an offset (a, b) from the query with
+    a² + b² = d², and among the offsets of one d² the (a, b) order is the
+    (row, col) order of the cells they reach. So the first offset, in
+    (a, b) order, that lands on a source is the answer. The offsets are
+    enumerated per call, out to the largest d² of the call.
     """
     if qry.shape[0] == 0:
-        return np.empty((0, 1), dtype=np.int64), np.empty((0, 1), np.int64)
+        empty = np.empty((0, 1), dtype=np.int64)
+        return empty, empty.copy()
     lo = np.minimum(src.min(axis=0), qry.min(axis=0))
     shape = tuple(np.maximum(src.max(axis=0), qry.max(axis=0)) - lo + 1)
     s, q = src - lo, qry - lo
