@@ -1,7 +1,8 @@
 """Helpers shared by the brute-force oracles, with checks of their own:
 the reflect index of the window oracles, and the exhaustive (d², row, col)
 ranking and tie-heavy point sets of the nearest-boundary oracles. Only the
-tests use them; the package pads with numpy and queries a k-d tree."""
+tests use them; the package pads with numpy and reads a distance transform
+or queries a k-d tree."""
 import numpy as np
 import pytest
 

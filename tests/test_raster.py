@@ -405,7 +405,7 @@ def test_nearest_on_ring_ties_matches_oracle(extra):
 
 def _check_nearest_one(src, queries):
     """nearest_table(src, queries, 1) equals the rank oracle (indices and
-    int64 d²), and nearest_feature on shuffled sources equals the scan
+    int64 d²), and nearest_feature on reversed sources equals the scan
     oracle (cells and exact distances)."""
     idx, d2 = nearest_table(src, queries, 1)
     expect = rank_oracle(src, queries, 1)
