@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import configparser
 import functools
-import hashlib
 import logging
 import os
 import threading
@@ -43,9 +42,9 @@ from .mapping import (ChanVeseParams, MapperAux, MapperConfig,
                       apply_mapper_config)
 from .metrics import (MetricsRecord, accuracy, confusion, depth_rmse, f1,
                       flooded_area_km2, read_watermarks, rmse_at_points)
-from .raster import (BinaryMask, Raster, canonical_json, mask_like,
-                     nearest_table, read_mask, read_raster, require_same_grid,
-                     temp_file, write_mask, write_raster)
+from .raster import (BinaryMask, Raster, canonical_json, digest_bytes,
+                     mask_like, nearest_table, read_mask, read_raster,
+                     require_same_grid, temp_file, write_mask, write_raster)
 from .speckle import (FilterConfig, SpeckleModel, TABLE_ALPHA,
                       TABLE_WINDOW_SIDES, TABLE_XI, apply_filter_config)
 
@@ -57,24 +56,6 @@ EXTERNAL_MASK_PLACEHOLDER = "external://%s"
 # The bound of the StageCache memory tier: the summed .nbytes of the arrays
 # of the entries it holds.
 MEMORY_TIER_BYTES = 256 * 10**6
-
-
-def digest_bytes(*parts: bytes) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part)
-    return h.hexdigest()
-
-
-def digest_raster(raster: Raster) -> str:
-    geo = canonical_json([raster.width, raster.height, raster.cell_size,
-                          raster.origin_x, raster.origin_y, raster.nodata])
-    return digest_bytes(geo.encode(), raster.values.tobytes())
-
-
-def digest_mask(mask: BinaryMask) -> str:
-    geo = canonical_json(list(mask.geometry))
-    return digest_bytes(geo.encode(), mask.values.tobytes())
 
 
 def digest_file(path: str) -> str:
@@ -247,11 +228,11 @@ class StageCache:
                 try:
                     entry = self._recall(key)
                     if entry is None and disk:
-                        entry = self._decoded(key, kind, decode)
+                        entry = self._decoded(key, decode)
                         if entry is not None:
-                            self._remember(key, kind, entry)
+                            self._remember(key, entry)
                     if entry is None:
-                        return self._compute(key, kind, compute, disk), False
+                        return self._compute(key, compute, disk), False
                 finally:
                     # a thread still waiting on this lock finds the entry
                     # the holder stored (or computes it again if it was
@@ -264,7 +245,7 @@ class StageCache:
             raise DegenerateError(str(entry))
         return entry, True
 
-    def _compute(self, key: str, kind: str, compute, disk):
+    def _compute(self, key: str, compute, disk):
         with self._guard:
             self.misses += 1
         try:
@@ -272,12 +253,12 @@ class StageCache:
         except DegenerateError as exc:
             # deterministic given the key: later lookups raise it again
             # (held without the traceback, which pins the stage's frames)
-            self._keep(key, kind, DegenerateError(str(exc)), disk)
+            self._keep(key, DegenerateError(str(exc)), disk)
             raise
-        self._keep(key, kind, obj, disk)
+        self._keep(key, obj, disk)
         return obj
 
-    def _keep(self, key: str, kind: str, obj, disk) -> None:
+    def _keep(self, key: str, obj, disk) -> None:
         if disk:
             try:
                 self._store(key, obj)
@@ -286,7 +267,7 @@ class StageCache:
                 # good, and a later run stores it again
                 log.warning("stage=cache status=unwritable key=%s "
                             "error=%s: %s", key[:12], type(exc).__name__, exc)
-        self._remember(key, kind, obj)
+        self._remember(key, obj)
 
     def _recall(self, key: str):
         with self._guard:
@@ -296,7 +277,7 @@ class StageCache:
             self._mem.move_to_end(key)
             return held[0]
 
-    def _remember(self, key: str, kind: str, obj) -> None:
+    def _remember(self, key: str, obj) -> None:
         if isinstance(obj, np.ndarray):
             # the tile table; Raster and BinaryMask values are read-only
             obj.flags.writeable = False
@@ -311,7 +292,7 @@ class StageCache:
             while self.held_bytes > MEMORY_TIER_BYTES:
                 self.held_bytes -= self._mem.popitem(last=False)[1][1]
 
-    def _load(self, key: str, kind: str) -> np.ndarray | None:
+    def _load(self, key: str) -> np.ndarray | None:
         """The stored array of a key, or None when there is none."""
         try:
             with open(self._path(key), "rb") as fh:
@@ -320,11 +301,11 @@ class StageCache:
         except FileNotFoundError:
             return None
 
-    def _decoded(self, key: str, kind: str, decode):
+    def _decoded(self, key: str, decode):
         """The output (or stored failure) on disk under a key; None when
         there is none or it cannot be read or decoded."""
         try:
-            arr = self._load(key, kind)
+            arr = self._load(key)
             if arr is None:
                 return None
             if arr.dtype.kind == "U":
@@ -380,7 +361,6 @@ class PipelineInputs:
     sections: tuple = ()
     looks: float = 1.0
     external_reference_path: str | None = None
-    _digests: dict = field(default_factory=dict, repr=False)
     _file_digests: dict = field(default_factory=dict, repr=False)
 
     def validate(self) -> None:
@@ -392,17 +372,9 @@ class PipelineInputs:
                                   "flood image and %s" % name)
 
     def digest(self, name: str) -> str:
-        if name not in self._digests:
-            obj = getattr(self, name)
-            if isinstance(obj, Raster):
-                self._digests[name] = digest_raster(obj)
-            elif isinstance(obj, BinaryMask):
-                self._digests[name] = digest_mask(obj)
-            elif obj is None:
-                self._digests[name] = "absent"
-            else:
-                raise InputError("cannot digest input %r" % name)
-        return self._digests[name]
+        """The content digest of an input grid, or "absent"."""
+        obj = getattr(self, name)
+        return "absent" if obj is None else obj.digest
 
     def file_digest(self, path: str) -> str:
         """digest_file of an external input, memoised per path for the
@@ -504,9 +476,9 @@ def _mask(inputs: PipelineInputs, cfg: ConfigSpec,
     mapper = cfg.mapper
     reference = (_filtered(inputs, cfg.filter, cache, "filter_ref")
                  if mapper.method == "change_detection" else None)
-    parents = [digest_raster(filtered)]
+    parents = [filtered.digest]
     if reference is not None:
-        parents.append(digest_raster(reference))
+        parents.append(reference.digest)
     if mapper.method == "active_contour":
         parents.append(inputs.digest("permanent_water"))
     if mapper.method == "external_mask":
@@ -576,7 +548,7 @@ def run_pipeline(inputs: PipelineInputs, cfg: ConfigSpec,
                 raise InputError("depth estimation requires a DEM")
             dfield = _node(
                 cache, "depth", cfg.depth.params_json,
-                [digest_mask(mask), inputs.digest("dem"),
+                [mask.digest, inputs.digest("dem"),
                  inputs.digest("exclusion"),
                  canonical_json([list(s.vertices) for s in inputs.sections])],
                 "depth",

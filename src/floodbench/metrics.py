@@ -3,7 +3,6 @@ flooded area, and RMSE against reference rasters or watermark points."""
 from __future__ import annotations
 
 import csv
-import io
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -11,8 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .raster import (BinaryMask, FLOODED, Raster, atomic_write_bytes,
-                     require_same_grid)
+from .raster import BinaryMask, FLOODED, Raster, require_same_grid
 from .depth import DepthField
 
 
@@ -182,15 +180,6 @@ class MetricsRecord:
 
 def manifest_header_line() -> str:
     return ",".join(MANIFEST_FIELDS)
-
-
-def write_manifest(records, path: str) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(MANIFEST_FIELDS)
-    for rec in records:
-        writer.writerow(rec.to_row())
-    atomic_write_bytes(path, buf.getvalue().encode())
 
 
 def append_manifest_row(fh, rec: MetricsRecord) -> None:

@@ -15,6 +15,7 @@ resampling. Two on-disk formats are supported:
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import struct
@@ -57,6 +58,19 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def digest_bytes(*parts: bytes) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    return h.hexdigest()
+
+
+def _grid_digest(head: list, values: np.ndarray) -> str:
+    """The content digest of a grid: sha256 of its header as canonical
+    JSON, then its values' bytes."""
+    return digest_bytes(canonical_json(head).encode(), values.tobytes())
+
+
 class JsonParams:
     """Mixin for the frozen stage-config dataclasses: their fields as
     canonical JSON, serialized once per config object."""
@@ -77,7 +91,9 @@ class Raster:
 
     ``values`` has shape (height, width) with row 0 the north row. Cells
     equal to ``nodata`` (or NaN) are missing; every valid finite value
-    must differ from the nodata sentinel.
+    must differ from the nodata sentinel. The raster holds its own
+    read-only copy of the values it was given, so ``digest`` (computed
+    once per raster) stays true to them.
     """
 
     width: int
@@ -93,7 +109,7 @@ class Raster:
             raise InputError("raster dimensions must be positive")
         if not self.cell_size > 0:
             raise InputError("non-positive cell size")
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.array(self.values, dtype=np.float64)
         if v.shape != (self.height, self.width):
             if v.size == self.width * self.height:
                 v = v.reshape(self.height, self.width)
@@ -101,6 +117,14 @@ class Raster:
                 raise InputError("value count mismatch: %d values for %dx%d"
                                  % (v.size, self.width, self.height))
         object.__setattr__(self, "values", _freeze(v))
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """Content hash of geometry, nodata and values; stage cache keys
+        name a raster by it."""
+        return _grid_digest([self.width, self.height, self.cell_size,
+                             self.origin_x, self.origin_y, self.nodata],
+                            self.values)
 
     @property
     def finite(self) -> np.ndarray:
@@ -116,8 +140,7 @@ class Raster:
         """New raster with this geometry and the given values."""
         return Raster(self.width, self.height, self.cell_size,
                       self.origin_x, self.origin_y,
-                      self.nodata if nodata is None else nodata,
-                      np.array(values, dtype=np.float64))
+                      self.nodata if nodata is None else nodata, values)
 
     def cell_of(self, x: float, y: float) -> tuple[int, int] | None:
         """(row, col) of the cell containing map point (x, y), or None."""
@@ -162,6 +185,11 @@ class BinaryMask:
     def geometry(self) -> tuple:
         return (self.width, self.height, self.cell_size,
                 self.origin_x, self.origin_y)
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """Content hash of geometry and codes, as for ``Raster.digest``."""
+        return _grid_digest(list(self.geometry), self.values)
 
     @property
     def flooded(self) -> np.ndarray:
@@ -259,8 +287,7 @@ def read_mask(path: str, fmt: str | None = None,
 
 def write_mask(mask: BinaryMask, path: str, fmt: str | None = None) -> None:
     r = Raster(mask.width, mask.height, mask.cell_size, mask.origin_x,
-               mask.origin_y, float(MASK_NODATA),
-               mask.values.astype(np.float64))
+               mask.origin_y, float(MASK_NODATA), mask.values)
     write_raster(r, path, fmt)
 
 
@@ -360,7 +387,7 @@ def _read_binary(path: str) -> Raster:
         raise RasterFormatError("value count mismatch: %d values for %dx%d"
                                 % (values.size, width, height))
     return Raster(int(width), int(height), cell, ox, oy, float(nodata),
-                  values.astype(np.float64))
+                  values)
 
 
 def _binary_bytes(raster: Raster) -> bytes:

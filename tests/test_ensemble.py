@@ -692,9 +692,9 @@ def test_fresh_cache_reads_each_key_from_disk_once(tmp_path, sweep_scene,
     loads = []
     real = StageCache._load
 
-    def counted(self, key, kind):
+    def counted(self, key):
         loads.append(key)
-        return real(self, key, kind)
+        return real(self, key)
 
     monkeypatch.setattr(StageCache, "_load", counted)
     cache = StageCache(cache_dir)
@@ -766,8 +766,8 @@ def test_memory_tier_stays_within_its_bound(tmp_path, sweep_scene,
     held = []
     real = StageCache._remember
 
-    def watched(self, key, kind, obj):
-        real(self, key, kind, obj)
+    def watched(self, key, obj):
+        real(self, key, obj)
         held.append(self.held_bytes)
         assert self.held_bytes == sum(n for _, n in self._mem.values())
 
@@ -1363,3 +1363,104 @@ def test_failed_output_write_is_one_failed_row(tmp_path, sweep_scene,
     for cfg in configs[:3] + configs[4:]:
         assert os.path.exists(os.path.join(out_dir, cfg.config_id,
                                            "mask.fbr"))
+
+
+def failing_renames(monkeypatch, fails):
+    """Make os.replace raise EIO for the destinations ``fails`` picks;
+    return the destinations it failed."""
+    real = os.replace
+    failed = []
+
+    def replace(src, dst):
+        if fails(str(dst)):
+            failed.append(str(dst))
+            raise OSError(errno.EIO, "Input/output error")
+        return real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return failed
+
+
+def test_failed_cache_rename_leaves_no_temp_file(tmp_path, sweep_scene,
+                                                 monkeypatch, caplog):
+    inputs = scene_inputs(sweep_scene)
+    configs = small_config_set(None) + depth_plan_configs()
+    clean = sweep(SweepPlan(inputs, configs, str(tmp_path / "clean"),
+                            cache_dir=str(tmp_path / "clean_cache"),
+                            write_outputs=False))
+    failed = failing_renames(monkeypatch, lambda dst: dst.endswith(".npy"))
+    cache_dir = str(tmp_path / "cache")
+    with caplog.at_level("WARNING", logger="floodbench"):
+        rows = read_manifest(sweep(SweepPlan(
+            inputs, configs, str(tmp_path / "out"), cache_dir=cache_dir,
+            write_outputs=False)))
+    assert failed
+    assert {r["status"] for r in rows} == {"ok"}
+    assert manifest_multiset(rows) == manifest_multiset(read_manifest(clean))
+    assert "stage=cache status=unwritable key=" in caplog.text
+    assert os.listdir(cache_dir) == []
+
+
+def test_failed_output_rename_is_one_failed_row(tmp_path, sweep_scene,
+                                                monkeypatch):
+    inputs = scene_inputs(sweep_scene)
+    configs = (small_config_set(None) + depth_plan_configs())[:10]
+    victim = os.path.join(configs[3].config_id, "mask.fbr")
+    failing_renames(monkeypatch, lambda dst: dst.endswith(victim))
+    out_dir = str(tmp_path / "out")
+    rows = read_manifest(sweep(SweepPlan(inputs, configs, out_dir,
+                                         cache_dir=str(tmp_path / "c"))))
+    assert [r["config_id"] for r in rows] == [c.config_id for c in configs]
+    assert [r["status"] for r in rows] == ["ok"] * 3 + ["failed"] + ["ok"] * 6
+    assert rows[3]["reason"].startswith("output: InputError: cannot write")
+    assert os.listdir(os.path.join(out_dir, configs[3].config_id)) == []
+    for cfg in configs[:3] + configs[4:]:
+        assert os.listdir(os.path.join(out_dir, cfg.config_id)) \
+            == ["mask.fbr"]
+
+
+# ---------------------------------------------------------------------------
+# content digests: each grid object hashes its content once
+
+
+def test_sweep_hashes_each_grid_object_once(tmp_path, sweep_scene,
+                                            monkeypatch):
+    inputs = scene_inputs(sweep_scene)
+    # new objects: the session's scene may have hashed its own already
+    inputs.flood = inputs.flood.like(inputs.flood.values)
+    inputs.dem = inputs.dem.like(inputs.dem.values)
+    configs = depth_plan_configs()
+    hashed = []
+    real = raster._grid_digest
+
+    def counted(head, values):
+        hashed.append(values)      # held, so no two objects share an id
+        return real(head, values)
+
+    monkeypatch.setattr(raster, "_grid_digest", counted)
+    cache_dir = str(tmp_path / "cache")
+    for run in ("cold", "warm"):
+        hashed.clear()
+        rows = read_manifest(sweep(SweepPlan(
+            inputs, configs, str(tmp_path / run), cache_dir=cache_dir,
+            write_outputs=False)))
+        assert {r["status"] for r in rows} == {"ok"}
+        assert len({id(v) for v in hashed}) == len(hashed)
+        # once each for the 18 configs: the filtered image and the 9
+        # morphed masks (the morph nodes key on the base node's key, so
+        # the base mask is not hashed), and the flood image and the DEM,
+        # whose digests outlive the first sweep
+        assert len(hashed) == 1 + 9 + (2 if run == "cold" else 0)
+
+
+def test_reassigned_input_keys_a_new_depth_field(sweep_scene):
+    inputs = scene_inputs(sweep_scene)
+    cfg = depth_config()
+    cache = StageCache()
+    first = run_pipeline(inputs, cfg, cache)
+    inputs.dem = sweep_scene.dem.like(sweep_scene.dem.values * 1.5)
+    rerun = run_pipeline(inputs, cfg, cache)
+    fresh = run_pipeline(inputs, cfg, StageCache())
+    assert same_outputs(rerun, fresh)
+    assert not np.array_equal(rerun.depth.depth.values,
+                              first.depth.depth.values)

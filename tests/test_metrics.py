@@ -5,9 +5,9 @@ import pytest
 from floodbench.depth import DepthConfig, DepthField, fwdet
 from floodbench.errors import GeometryError, InputError
 from floodbench.metrics import (ConfusionCounts, MetricsRecord, accuracy,
-                                confusion, depth_rmse, f1, flooded_area_km2,
-                                read_manifest, read_watermarks, rmse_at_points,
-                                write_manifest)
+                                append_manifest_row, confusion, depth_rmse, f1,
+                                flooded_area_km2, manifest_header_line,
+                                read_manifest, read_watermarks, rmse_at_points)
 from floodbench.raster import BinaryMask, Raster
 
 from conftest import random_mask, smooth_valley  # noqa: F401
@@ -250,7 +250,10 @@ def test_manifest_round_trip(tmp_path):
                         mapper_params="global(otsu)", morph_params="off",
                         acc=0.5, f1=0.25, area_km2=1.5, wall_ms=12.5)
     path = tmp_path / "manifest.csv"
-    write_manifest([rec], str(path))
+    # the calls ensemble.sweep writes its manifest with
+    with open(path, "w", newline="") as fh:
+        fh.write(manifest_header_line() + "\n")
+        append_manifest_row(fh, rec)
     rows = read_manifest(str(path))
     assert len(rows) == 1
     assert rows[0]["config_id"] == "abc123"

@@ -101,6 +101,35 @@ def test_values_are_immutable():
         r.values[0, 0] = 1.0
 
 
+def test_raster_owns_its_values():
+    flat = np.arange(16, dtype=np.float64)
+    view = flat.reshape(4, 4)[1:3]       # taken before construction
+    r = Raster(4, 4, 1.0, 0.0, 0.0, -9999.0, flat)
+    flat[0] = 42.0
+    view[0, 0] = -1.0
+    assert r.values.ravel().tolist() == list(range(16))
+    # so the digest, hashed on first use, is that of the values given
+    assert r.digest == Raster(4, 4, 1.0, 0.0, 0.0, -9999.0,
+                              np.arange(16.0)).digest
+
+
+def test_grid_digests_are_pinned():
+    # stage cache keys are made of these digests: hashing other bytes
+    # would turn every entry of an existing cache directory into a miss
+    r = Raster(3, 2, 2.5, 100.5, -20.25, -9999.0,
+               np.array([[1.0, -9999.0, 0.125], [3.5, 2.0, 1e-3]]))
+    m = BinaryMask(3, 2, 2.5, 100.5, -20.25,
+                   np.array([[0, 1, 255], [1, 1, 0]]))
+    assert r.digest == ("ed7643d8ce5ab0f44a8e8ea461c53ddf"
+                        "e7bcd54e01c5259a238075f70ad19699")
+    assert m.digest == ("3ee6f8e8cf8836d3c5411baf3f504b97"
+                        "f2ebc310c287742134c7ec22d2f6f5fa")
+    # a new object of other content has its own digest
+    assert r.like(r.values + 1.0).digest != r.digest
+    assert r.like(r.values, nodata=-1.0).digest != r.digest
+    assert m.like(1 - m.flooded).digest != m.digest
+
+
 def test_geometry_mismatch_raises():
     a = Raster(2, 2, 1.0, 0.0, 0.0, -9999.0, np.zeros((2, 2)))
     b = Raster(2, 2, 2.0, 0.0, 0.0, -9999.0, np.zeros((2, 2)))
