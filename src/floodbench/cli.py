@@ -162,12 +162,8 @@ def cmd_mapflood(args) -> int:
         reference=read_raster(args.ref) if args.ref else None,
         permanent_water=(read_mask(args.init_mask, reference=image)
                          if args.init_mask else None))
-    morph = MorphologyConfig(
-        enabled=args.fill_holes > 0 or args.remove_patches > 0,
-        fill_holes_max=max(args.fill_holes, 1),
-        remove_patches_max=max(args.remove_patches, 1)) \
-        if (args.fill_holes > 0 or args.remove_patches > 0) \
-        else MorphologyConfig(False)
+    morph = MorphologyConfig(args.fill_holes != 0 or args.remove_patches != 0,
+                             args.fill_holes, args.remove_patches)
     mask = apply_mapper_config(image, cfg, morph, aux)
     write_mask(mask, args.out)
     log.info("stage=mapflood config=%s status=written flooded=%d out=%s",
@@ -215,7 +211,7 @@ def cmd_metrics(args) -> int:
     counts = confusion(pred, ref, exclude)
     rec = MetricsRecord(config_id="cli", mapper_method="cli",
                         acc=accuracy(counts), f1=f1(counts),
-                        area_km2=flooded_area_km2(pred), counts=counts)
+                        area_km2=flooded_area_km2(pred))
     if args.pred_depth:
         dep = read_raster(args.pred_depth)
         wse = read_raster(args.pred_wse) if args.pred_wse else dep

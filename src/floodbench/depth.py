@@ -93,21 +93,29 @@ class DepthField:
         require_same_grid(self.depth, self.wse, "depth and WSE rasters")
 
 
+def _require_full_dem(dem: Raster) -> None:
+    """Every estimator reads the DEM at flooded and boundary cells, so a
+    nodata cell (a huge or NaN elevation) would corrupt its depths."""
+    if not dem.finite.all():
+        raise InputError("DEM has nodata cells")
+
+
 def dem_slope(dem: Raster) -> Raster:
     """Percent slope magnitude from central differences.
 
     Border cells use one-sided differences. The DEM must be fully finite.
     """
-    if not dem.finite.all():
-        raise InputError("DEM has nodata cells")
+    _require_full_dem(dem)
     gy, gx = np.gradient(dem.values, dem.cell_size)
     return dem.like(100.0 * np.hypot(gx, gy))
 
 
 def extract_boundary(mask: BinaryMask, dem: Raster,
                      slope_threshold: float | None = None) -> BoundarySet:
-    """Flooded cells with a dry 4-neighbor, optionally slope filtered."""
+    """Flooded cells with a dry 4-neighbor, optionally slope filtered; the
+    DEM must be fully finite."""
     require_same_grid(mask, dem, "mask and DEM")
+    _require_full_dem(dem)
     fl = mask.values == FLOODED
     if not fl.any():
         raise DegenerateError("empty flood")
@@ -273,9 +281,11 @@ def cross_section_depth(mask: BinaryMask, dem: Raster,
     The banks are the outermost flooded cells along the sampled chain; the
     section WSE is the mean of their DEM elevations. A chain with no
     flooded cell misses the flood; a flood reaching either chain end has
-    no bank there and the section is unbounded.
+    no bank there and the section is unbounded. The DEM must be fully
+    finite.
     """
     require_same_grid(mask, dem, "mask and DEM")
+    _require_full_dem(dem)
     chain = sample_chain(section, dem)
     codes = mask.values[chain[:, 0], chain[:, 1]]
     flooded = np.nonzero(codes == FLOODED)[0]

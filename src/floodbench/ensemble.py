@@ -3,19 +3,18 @@
 The hyperparameter grid enumerates to exactly 26 filter configurations,
 48 mapper configurations (432 with the 9-point morphology grid), and 19
 depth configurations. Sweeps run the filter -> map -> morphology ->
-optional depth -> metrics pipeline for every configuration under a
-bounded thread pool. Every stage output is a node of one StageCache,
-keyed on its stage version, its parameters and its parents, so shared
-prefixes compute once: the filtered image, the base mask of a mapper
-(shared by its morphology variants, whose node keys on the base node's
-key), the local-threshold tile table of a filtered image and tile size
-(shared by all 18 AD/BC/SR gates), and the depth field of a mask (keyed
-on the mask's content, so equal masks from different mappers share it).
-The cache holds recent outputs in a memory tier bounded by
-MEMORY_TIER_BYTES in front of its optional disk tier, so a process reads
-each entry from disk once. Failed configurations become failed records
-and never abort a sweep; a method failure (DegenerateError) is cached
-like an output.
+optional depth -> metrics pipeline for every configuration, in one group
+per filter on a bounded thread pool. Every stage output is a node of the
+group's StageCache, keyed on its stage version, its parameters and its
+parents, so shared prefixes compute once: the filtered image, the base
+mask of a mapper (shared by its morphology variants, whose node keys on
+the base node's key), the local-threshold tile table of a filtered image
+and tile size (shared by all 18 AD/BC/SR gates), and the depth field of
+a mask (keyed on the mask's content, so equal masks from different
+mappers share it). The cache holds recent outputs in a bounded memory
+tier before its optional disk tier, so a process reads each entry from
+disk once. Failed configurations become failed records and never abort a
+sweep; a method failure (DegenerateError) is cached like an output.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,41 +174,40 @@ class StageCache:
     """Content-addressed store of intermediate stage outputs, in two tiers.
 
     The memory tier keeps recent outputs in least-recently-used order, up
-    to MEMORY_TIER_BYTES of array data; an entry larger than that is not
-    held. With a directory, a disk tier keeps one .npy array per key,
-    written through on every compute (atomic write-temp-then-rename) and
-    read without pickles: a raster's or a mask's values, depth and WSE
-    stacked as (2, H, W), or a tile table. The array carries no geometry:
-    every output of a sweep lies on its input grid, so each lookup passes
-    a ``decode`` that rebuilds the output from the array. An entry that
+    to ``bound`` bytes of array data (default MEMORY_TIER_BYTES); an entry
+    larger than that is not held. With a directory, a disk tier keeps one
+    .npy array per key, written through on every compute and read without
+    pickles: a raster's or a mask's values, depth and WSE stacked as
+    (2, H, W), or a tile table. The array carries no geometry: every
+    output of a sweep lies on its input grid, so each lookup passes a
+    ``decode`` that rebuilds the output from the array. An entry that
     cannot be read or decoded is a logged miss. A lookup tries memory,
     then disk, then computes, and remembers what it decoded or computed,
     so a process reads an entry from disk at most once unless the memory
-    tier evicted it. Without a directory an evicted entry is
-    recomputed. A compute that raises DegenerateError is stored as its
-    message (a 0-d string array) and raises the same message on every hit;
-    other errors store nothing. Keys are content hashes of the stage
-    configuration plus all input digests, so equal keys imply
-    byte-identical outputs. An entry looked up with ``persist=False`` lives
-    in the memory tier only: it is never read from or written to disk. A
-    store that fails (a full disk, say) is logged, and the output is held
-    in memory and returned as if it had been stored.
+    tier evicted it. Without a directory an evicted entry is recomputed. A
+    compute that raises DegenerateError is stored as its message (a 0-d
+    string array) and raises the same message on every hit; other errors
+    store nothing. Keys are content hashes of the stage configuration plus
+    all input digests, so equal keys imply byte-identical outputs. An
+    entry looked up with ``persist=False`` lives in the memory tier only:
+    it is never read from or written to disk. A store that fails (a full
+    disk, say) is logged, and the output is held in memory and returned as
+    if it had been stored.
+
+    One cache serves one thread and takes no lock. Caches may share a
+    directory: each store writes a temp file and renames it into place.
     """
 
-    def __init__(self, directory: str | None = None):
+    def __init__(self, directory: str | None = None,
+                 bound: int | None = None):
         self.directory = directory
         if directory:
             os.makedirs(directory, exist_ok=True)
+        self.bound = MEMORY_TIER_BYTES if bound is None else bound
         self._mem: OrderedDict = OrderedDict()  # key -> (entry, bytes)
         self.held_bytes = 0
-        self._locks: dict = {}
-        self._guard = threading.Lock()
         self.hits = 0
         self.misses = 0
-
-    def _lock_for(self, key: str) -> threading.Lock:
-        with self._guard:
-            return self._locks.setdefault(key, threading.Lock())
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, key + ".npy")
@@ -223,31 +221,16 @@ class StageCache:
         ``persist=False`` the disk tier is skipped."""
         disk = persist and bool(self.directory)
         entry = self._recall(key)
-        if entry is None:
-            with self._lock_for(key):
-                try:
-                    entry = self._recall(key)
-                    if entry is None and disk:
-                        entry = self._decoded(key, decode)
-                        if entry is not None:
-                            self._remember(key, entry)
-                    if entry is None:
-                        return self._compute(key, compute, disk), False
-                finally:
-                    # a thread still waiting on this lock finds the entry
-                    # the holder stored (or computes it again if it was
-                    # too large to hold)
-                    with self._guard:
-                        self._locks.pop(key, None)
-        with self._guard:
+        if entry is None and disk:
+            entry = self._decoded(key, decode)
+            if entry is not None:
+                self._remember(key, entry)
+        if entry is not None:
             self.hits += 1
-        if isinstance(entry, DegenerateError):
-            raise DegenerateError(str(entry))
-        return entry, True
-
-    def _compute(self, key: str, compute, disk):
-        with self._guard:
-            self.misses += 1
+            if isinstance(entry, DegenerateError):
+                raise DegenerateError(str(entry))
+            return entry, True
+        self.misses += 1
         try:
             obj = compute()
         except DegenerateError as exc:
@@ -256,7 +239,7 @@ class StageCache:
             self._keep(key, DegenerateError(str(exc)), disk)
             raise
         self._keep(key, obj, disk)
-        return obj
+        return obj, False
 
     def _keep(self, key: str, obj, disk) -> None:
         if disk:
@@ -270,27 +253,25 @@ class StageCache:
         self._remember(key, obj)
 
     def _recall(self, key: str):
-        with self._guard:
-            held = self._mem.get(key)
-            if held is None:
-                return None
-            self._mem.move_to_end(key)
-            return held[0]
+        held = self._mem.get(key)
+        if held is None:
+            return None
+        self._mem.move_to_end(key)
+        return held[0]
 
     def _remember(self, key: str, obj) -> None:
         if isinstance(obj, np.ndarray):
             # the tile table; Raster and BinaryMask values are read-only
             obj.flags.writeable = False
         size = sum(a.nbytes for a in _arrays(obj))
-        if size > MEMORY_TIER_BYTES:
+        if size > self.bound:
             return
-        with self._guard:
-            if key in self._mem:
-                self.held_bytes -= self._mem.pop(key)[1]
-            self._mem[key] = (obj, size)
-            self.held_bytes += size
-            while self.held_bytes > MEMORY_TIER_BYTES:
-                self.held_bytes -= self._mem.popitem(last=False)[1][1]
+        if key in self._mem:
+            self.held_bytes -= self._mem.pop(key)[1]
+        self._mem[key] = (obj, size)
+        self.held_bytes += size
+        while self.held_bytes > self.bound:
+            self.held_bytes -= self._mem.popitem(last=False)[1][1]
 
     def _load(self, key: str) -> np.ndarray | None:
         """The stored array of a key, or None when there is none."""
@@ -540,7 +521,6 @@ def run_pipeline(inputs: PipelineInputs, cfg: ConfigSpec,
             counts = confusion(mask, inputs.reference_mask,
                                inputs.exclusion if inputs.exclusion is not None
                                else inputs.permanent_water)
-            rec.counts = counts
             rec.acc = accuracy(counts)
             rec.f1 = f1(counts)
         if cfg.depth is not None:
@@ -611,40 +591,59 @@ class SweepPlan:
 def sweep(plan: SweepPlan) -> str:
     """Run every configuration of a plan; returns the manifest CSV path.
 
-    Rows are appended in plan order through a single writer thread, and
-    each result is released once its row is written. They go to a temp
-    file that replaces ``manifest.csv`` only when every row is written, so
-    an interrupted sweep leaves the previous manifest as it was. Reruns
-    reuse the stage cache, so an interrupted sweep resumed with the same
-    cache directory recomputes only missing stages.
+    Configs are grouped by filter, as no output below a filter depends on
+    another, and the groups run on min(jobs, groups) threads, each in plan
+    order over its own StageCache (an equal share of MEMORY_TIER_BYTES) on
+    the shared cache directory. An exception that escapes a config or
+    reaches the caller stops every group before its next config. The rows
+    then go in plan order to a temp file that replaces ``manifest.csv``,
+    so an interrupted sweep leaves the previous manifest as it was, and a
+    resumed one recomputes only missing stages.
     """
     plan.inputs.validate()
     os.makedirs(plan.out_dir, exist_ok=True)
     cache_dir = plan.cache_dir or os.environ.get(CACHE_ENV) \
         or os.path.join(plan.out_dir, "cache")
-    cache = StageCache(cache_dir)
-    manifest = os.path.join(plan.out_dir, "manifest.csv")
     out_dir = plan.out_dir if plan.write_outputs else None
-    jobs = max(1, plan.jobs)
+    groups: dict = {}
+    for i, cfg in enumerate(plan.configs):
+        groups.setdefault(cfg.filter, []).append(i)
+    workers = max(1, min(plan.jobs, len(groups)))
+    records: list = [None] * len(plan.configs)
+    stop = threading.Event()
+
+    def run_group(indices: list) -> tuple[int, int]:
+        cache = StageCache(cache_dir, MEMORY_TIER_BYTES // workers)
+        for i in indices:
+            if stop.is_set():
+                break
+            records[i] = run_pipeline(plan.inputs, plan.configs[i], cache,
+                                      out_dir).record
+        return cache.hits, cache.misses
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run_group, g) for g in groups.values()]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            stop.set()
+        counts = [f.result() for f in futures]
+    manifest = os.path.join(plan.out_dir, "manifest.csv")
     fd, tmp = temp_file(plan.out_dir, prefix=".manifest-", suffix=".csv")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(metrics.manifest_header_line() + "\n")
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = pool.map(
-                    lambda cfg: run_pipeline(plan.inputs, cfg, cache,
-                                             out_dir),
-                    plan.configs)
-                for result in results:
-                    metrics.append_manifest_row(fh, result.record)
-                    log.info("stage=record config=%s status=%s",
-                             result.record.config_id, result.record.status)
+            for rec in records:
+                metrics.append_manifest_row(fh, rec)
+                log.info("stage=record config=%s status=%s", rec.config_id,
+                         rec.status)
         os.replace(tmp, manifest)
     except BaseException:
         os.unlink(tmp)
         raise
     log.info("stage=sweep status=done records=%d cache_hits=%d "
-             "cache_misses=%d", len(plan.configs), cache.hits, cache.misses)
+             "cache_misses=%d", len(records), sum(h for h, _ in counts),
+             sum(m for _, m in counts))
     return manifest
 
 

@@ -372,16 +372,19 @@ class ChanVeseParams:
 
 @dataclass(frozen=True)
 class MorphologyConfig(JsonParams):
-    """Hole filling then small-patch removal, both in pixel areas."""
+    """Hole filling then small-patch removal, both in pixel areas. An area
+    of 0 skips its step (no component has 0 cells); enabled morphology
+    needs at least one positive area."""
 
     enabled: bool = False
     fill_holes_max: int = 0
     remove_patches_max: int = 0
 
     def __post_init__(self):
-        if self.enabled and (self.fill_holes_max <= 0
-                             or self.remove_patches_max <= 0):
-            raise InputError("morphology areas must be positive when enabled")
+        areas = (self.fill_holes_max, self.remove_patches_max)
+        if self.enabled and (min(areas) < 0 or max(areas) == 0):
+            raise InputError("morphology areas must be non-negative, and "
+                             "one positive, when enabled")
 
     def describe(self) -> str:
         if not self.enabled:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -94,11 +94,12 @@ def rmse_at_points(pred: DepthField, points: np.ndarray) -> PointsRmse:
     if pts.shape[1] != 3:
         raise InputError("watermark points must have columns x, y, depth")
     depth = pred.depth
+    finite = depth.finite
     errors = []
     skipped = 0
     for x, y, obs in pts:
         cell = depth.cell_of(x, y)
-        if cell is None or not depth.finite[cell]:
+        if cell is None or not finite[cell]:
             skipped += 1
             continue
         errors.append(depth.values[cell] - obs)
@@ -166,7 +167,6 @@ class MetricsRecord:
     wall_ms: float | None = None
     status: str = "ok"
     reason: str = ""
-    counts: ConfusionCounts | None = field(default=None, compare=False)
 
     def to_row(self) -> list[str]:
         def fmt(v):

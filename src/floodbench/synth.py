@@ -49,7 +49,6 @@ class SceneSpec:
     seed: int = 0
     permanent_half_width: float = 0.0
     exclusion_strip: tuple | None = None
-    edge_blend: bool = False
     shore_ramp_cells: float = 0.0
     texture_db: float = 0.0
 
@@ -132,7 +131,7 @@ def render_backscatter(water: BinaryMask, spec: SceneSpec) -> Raster:
 
     ``shore_ramp_cells`` widens the wet/dry step into a linear transition
     of roughly that many cells, mimicking the gradual shorelines of real
-    floodplains; ``edge_blend`` is the minimal one-cell variant.
+    floodplains.
     """
     r_water = 10.0 ** (spec.water_db / 10.0)
     r_land = 10.0 ** (spec.land_db / 10.0)
@@ -144,13 +143,6 @@ def render_backscatter(water: BinaryMask, spec: SceneSpec) -> Raster:
         signed = dist_to_water - dist_to_land
         frac_land = np.clip(0.5 + signed / spec.shore_ramp_cells, 0.0, 1.0)
         out = r_water + frac_land * (r_land - r_water)
-    elif spec.edge_blend:
-        # one-cell transition: boundary-adjacent cells of either class get
-        # the midpoint backscatter
-        struct = ndimage.generate_binary_structure(2, 1)
-        rim = ndimage.binary_dilation(wet, structure=struct) ^ \
-            ndimage.binary_erosion(wet, structure=struct)
-        out = np.where(rim, 0.5 * (r_water + r_land), out)
     if spec.texture_db > 0:
         # static terrain texture shared by every render of the same spec,
         # so it cancels in flood/reference log-ratios
@@ -269,8 +261,6 @@ def read_scene_spec(path: str) -> SceneSpec:
                 kwargs[key] = sec.getint(key)
             elif key in floats:
                 kwargs[key] = sec.getfloat(key)
-            elif key == "edge_blend":
-                kwargs[key] = sec.getboolean(key)
             elif key == "exclusion_strip":
                 parts = sec.get(key).split(",")
                 if len(parts) != 2:

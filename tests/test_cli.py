@@ -95,6 +95,39 @@ def test_mapflood_morphology_flags_apply_fill_then_remove(tmp_path, scene_dir):
     assert np.array_equal(read_mask(str(cleaned)).values, expect.values)
 
 
+@pytest.mark.parametrize("flag, hole_filled, speck_removed",
+                         [("--fill-holes", True, False),
+                          ("--remove-patches", False, True)])
+def test_mapflood_morphology_flag_applies_only_its_step(tmp_path, flag,
+                                                        hole_filled,
+                                                        speck_removed):
+    from floodbench.raster import Raster
+    values = np.full((20, 20), 0.1)          # -10 dB land
+    values[4:12, 4:12] = 0.01                # an 8 x 8 lake at -20 dB
+    values[7, 7] = 0.1                       # with a one-cell dry hole
+    values[16, 16] = 0.01                    # and one isolated dark pixel
+    image = tmp_path / "img.fbr"
+    write_raster(Raster(20, 20, 10.0, 0.0, 0.0, -9999.0, values), str(image))
+    out = tmp_path / "mask.fbr"
+    assert main(["mapflood", "--in", str(image), "--out", str(out),
+                 "--method", "global_threshold", "--selector", "otsu",
+                 flag, "5"]) == 0
+    mask = read_mask(str(out))
+    assert mask.flooded[7, 7] == hole_filled
+    assert mask.flooded[16, 16] != speck_removed
+    assert mask.flooded_count() == 63 + hole_filled + (not speck_removed)
+
+
+def test_mapflood_rejects_a_negative_morphology_area(tmp_path, scene_dir):
+    code = main(["mapflood", "--in",
+                 str(scene_dir / "speckled_intensity.fbr"),
+                 "--out", str(tmp_path / "m.fbr"), "--method",
+                 "global_threshold", "--selector", "otsu",
+                 "--fill-holes", "-5"])
+    assert code == 2
+    assert not os.path.exists(str(tmp_path / "m.fbr"))
+
+
 def test_depth_fwdet_writes_depth_and_wse(tmp_path, scene_dir):
     out = tmp_path / "est.fbr"
     code = main(["depth", "--mask", str(scene_dir / "truth_mask.fbr"),

@@ -463,6 +463,20 @@ def test_all_19_depth_configs_dispatch(smooth_valley):
                 assert res.wse == pytest.approx(scene.spec.wse, abs=0.5)
 
 
+def test_every_estimator_rejects_a_dem_with_nodata():
+    from floodbench.ensemble import enumerate_depth
+    scene = generate_scene(SceneSpec(width=64, height=64, looks=4.0, seed=3))
+    values = np.array(scene.dem.values)
+    values[:, :3] = scene.dem.nodata
+    dem = scene.dem.like(values)
+    aux = DepthAux(sections=(CrossSection(((320.0, 0.0), (320.0, 640.0))),))
+    configs = enumerate_depth()
+    assert len(configs) == 19
+    for cfg in configs:
+        with pytest.raises(InputError, match="^DEM has nodata cells$"):
+            apply_depth_config(scene.truth_mask, dem, cfg, aux)
+
+
 def test_cross_section_dispatch_requires_sections(smooth_valley):
     scene = smooth_valley
     with pytest.raises(InputError, match="section"):

@@ -2,6 +2,9 @@
 representative-map sampling."""
 import errno
 import os
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -383,11 +386,20 @@ def test_sweep_parallelism_invariance(tmp_path, sweep_scene):
         == manifest_multiset(read_manifest(m2))
 
 
-def test_sweep_rows_follow_plan_order(tmp_path, sweep_scene):
+def mapper_major(configs):
+    """The configs with the filters interleaved: each mapper under every
+    filter in turn, so each filter's group is spread over the plan."""
+    return sorted(configs, key=lambda c: (c.mapper.describe(),
+                                          c.morphology.describe()))
+
+
+@pytest.mark.parametrize("order", ["reversed", "mapper_major"])
+def test_sweep_rows_follow_plan_order(tmp_path, sweep_scene, order):
     inputs = scene_inputs(sweep_scene)
     # reversing the plan puts slow active-contour configs ahead of fast
     # ones, so completion order would differ from plan order
-    configs = small_config_set(None)[::-1]
+    configs = small_config_set(None)[::-1] if order == "reversed" \
+        else mapper_major(small_config_set(None))
     manifest = sweep(SweepPlan(inputs, configs, str(tmp_path / "o"), jobs=2,
                                cache_dir=str(tmp_path / "c"),
                                write_outputs=False))
@@ -452,6 +464,94 @@ def test_interrupted_sweep_keeps_previous_manifest(tmp_path, sweep_scene,
     assert manifest_multiset(read_manifest(resumed)) \
         == manifest_multiset(read_manifest(clean))
     assert len(read_manifest(resumed)) == len(configs)
+
+
+def test_sweep_runs_one_cache_per_filter_in_one_thread(tmp_path, sweep_scene,
+                                                       monkeypatch):
+    caches = []
+
+    class Recorded(StageCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.threads = set()
+            caches.append(self)
+
+        def get_or_compute(self, *args, **kwargs):
+            self.threads.add(threading.get_ident())
+            return super().get_or_compute(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "StageCache", Recorded)
+    configs = mapper_major(small_config_set(None))
+    sweep(SweepPlan(scene_inputs(sweep_scene), configs, str(tmp_path / "o"),
+                    jobs=2, cache_dir=str(tmp_path / "c"),
+                    write_outputs=False))
+    assert len(caches) == len({cfg.filter for cfg in configs}) == 3
+    assert [len(cache.threads) for cache in caches] == [1, 1, 1]
+
+
+def test_live_caches_of_a_sweep_share_the_memory_bound(tmp_path, sweep_scene,
+                                                       monkeypatch):
+    inputs = scene_inputs(sweep_scene)
+    configs = small_config_set(None)
+    unbounded = read_manifest(sweep(SweepPlan(
+        inputs, configs, str(tmp_path / "o1"), cache_dir=str(tmp_path / "c1"),
+        write_outputs=False)))
+    # room for four filtered images (128 x 128 float64) in all, two per
+    # group at jobs = 2
+    bound = 4 * 128 * 128 * 8
+    monkeypatch.setattr(ensemble, "MEMORY_TIER_BYTES", bound)
+    live = weakref.WeakSet()       # a group's cache goes when the group ends
+    held = []
+    real = StageCache._remember
+
+    def watched(self, key, obj):
+        real(self, key, obj)
+        live.add(self)
+        held.append(sum(cache.held_bytes for cache in live))
+
+    monkeypatch.setattr(StageCache, "_remember", watched)
+    bounded = read_manifest(sweep(SweepPlan(
+        inputs, configs, str(tmp_path / "o2"), jobs=2,
+        cache_dir=str(tmp_path / "c2"), write_outputs=False)))
+    assert manifest_multiset(bounded) == manifest_multiset(unbounded)
+    assert bound // 2 < max(held) <= bound
+
+
+def test_interrupt_stops_the_other_groups(tmp_path, sweep_scene, monkeypatch):
+    inputs = scene_inputs(sweep_scene)
+    first, other = FilterConfig("none"), FilterConfig("median", k=1)
+    mappers = [(MapperConfig("global_threshold", selector=s), morph)
+               for s in ("otsu", "ki")
+               for morph in [MorphologyConfig(False)]
+               + ensemble.morphology_grid()]
+    configs = build_config_specs([first, other], mappers)
+    assert len(configs) == 40
+    out_dir = str(tmp_path / "out")
+    cache_dir = str(tmp_path / "cache")
+    old = sweep(SweepPlan(inputs, configs[:2], out_dir, cache_dir=cache_dir,
+                          write_outputs=False))
+    with open(old, "rb") as fh:
+        old_bytes = fh.read()
+    real = ensemble.run_pipeline
+    started = []
+
+    def interrupted(inputs, cfg, cache=None, out_dir=None):
+        if cfg == configs[0]:
+            raise KeyboardInterrupt
+        if cfg.filter == other:
+            started.append(cfg)
+            time.sleep(0.02)
+        return real(inputs, cfg, cache, out_dir)
+
+    monkeypatch.setattr(ensemble, "run_pipeline", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        sweep(SweepPlan(inputs, configs, out_dir, jobs=2,
+                        cache_dir=cache_dir, write_outputs=False))
+    with open(old, "rb") as fh:
+        assert fh.read() == old_bytes
+    assert sorted(os.listdir(out_dir)) == ["manifest.csv"]
+    # the other filter's group stops before its next config
+    assert len(started) < 20
 
 
 def test_sweep_writes_per_config_outputs(tmp_path, sweep_scene):
@@ -869,26 +969,6 @@ def test_degenerate_error_raises_again_from_each_tier(tmp_path):
     assert os.listdir(cache_dir) == ["k.npy"]
 
 
-def test_sweep_drops_key_locks(tmp_path, sweep_scene, monkeypatch):
-    caches = []
-
-    class Recorded(StageCache):
-        def __init__(self, directory=None):
-            super().__init__(directory)
-            caches.append(self)
-
-    monkeypatch.setattr(ensemble, "StageCache", Recorded)
-    inputs = scene_inputs(sweep_scene)
-    configs = small_config_set(None) + failing_local_configs()
-    manifests = [read_manifest(sweep(SweepPlan(
-        inputs, configs, str(tmp_path / ("o%d" % jobs)), jobs=jobs,
-        cache_dir=str(tmp_path / ("c%d" % jobs)), write_outputs=False)))
-        for jobs in (1, 8)]
-    assert manifest_multiset(manifests[0]) == manifest_multiset(manifests[1])
-    assert len(caches) == 2
-    assert all(cache._locks == {} for cache in caches)
-
-
 def test_outputs_honour_the_umask(tmp_path):
     import stat
     import subprocess
@@ -920,66 +1000,6 @@ print(cfg.config_id)
                  os.path.join(out, "manifest.csv"),
                  os.path.join(out, "cache", entries[0])]:
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o644, path
-
-
-def test_memory_tier_under_thread_contention(tmp_path, monkeypatch):
-    import sys
-    import threading
-    import time
-    from collections import OrderedDict
-
-    class Yielding(OrderedDict):
-        # gives up the interpreter lock inside every update of the tier, so
-        # an update made outside the cache's guard would interleave
-        def __setitem__(self, key, value):
-            time.sleep(0)
-            super().__setitem__(key, value)
-
-        def popitem(self, last=True):
-            time.sleep(0)
-            return super().popitem(last)
-
-    monkeypatch.setattr(ensemble, "MEMORY_TIER_BYTES", 5 * 800)
-    cache = StageCache(str(tmp_path / "c"))
-    cache._mem = Yielding()
-    keys = ["k%d" % i for i in range(12)]
-    bad = []
-    computing = set()
-
-    def compute(i):
-        # one key's compute never runs in two threads at once
-        if i in computing:
-            bad.append(("concurrent", i))
-        computing.add(i)
-        time.sleep(0)
-        computing.discard(i)
-        return table(100, i)
-
-    def worker(seed):
-        rng = np.random.default_rng(seed)
-        for i in rng.integers(0, len(keys), 300):
-            obj, _ = cache.get_or_compute(keys[i], "tiles",
-                                          lambda i=i: compute(i))
-            if not np.array_equal(obj, table(100, i)):
-                bad.append(i)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(s,))
-                   for s in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert bad == []
-    assert cache.hits + cache.misses == 8 * 300
-    assert cache.held_bytes == sum(n for _, n in cache._mem.values()) \
-        <= 5 * 800
-    assert cache._locks == {}
 
 
 # ---------------------------------------------------------------------------
