@@ -31,21 +31,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mapping, metrics
-from .depth import (DepthAux, DepthConfig, DepthField, TABLE_NEIGHBORS,
-                    TABLE_SLOPE, TABLE_SMOOTHING, apply_depth_config,
-                    read_cross_sections)
+from .depth import (DEPTH_METHODS, DepthAux, DepthConfig, DepthField,
+                    TABLE_NEIGHBORS, TABLE_SLOPE, TABLE_SMOOTHING,
+                    apply_depth_config, read_cross_sections)
 from .errors import DegenerateError, FloodbenchError, InputError
-from .mapping import (ChanVeseParams, MapperAux, MapperConfig,
-                      MorphologyConfig, TABLE_AD, TABLE_BC, TABLE_CV_ALPHA,
-                      TABLE_MIN_TILE, TABLE_MORPH, TABLE_SR,
+from .mapping import (ChanVeseParams, MAPPER_METHODS, MapperAux,
+                      MapperConfig, MorphologyConfig, TABLE_AD, TABLE_BC,
+                      TABLE_CV_ALPHA, TABLE_MIN_TILE, TABLE_MORPH, TABLE_SR,
                       apply_mapper_config)
 from .metrics import (MetricsRecord, accuracy, confusion, depth_rmse, f1,
                       flooded_area_km2, read_watermarks, rmse_at_points)
 from .raster import (BinaryMask, Raster, canonical_json, digest_bytes,
                      mask_like, nearest_table, read_mask, read_raster,
                      require_same_grid, temp_file, write_mask, write_raster)
-from .speckle import (FilterConfig, SpeckleModel, TABLE_ALPHA,
-                      TABLE_WINDOW_SIDES, TABLE_XI, apply_filter_config)
+from .speckle import (FILTER_METHODS, FilterConfig, SpeckleModel,
+                      TABLE_ALPHA, TABLE_WINDOW_SIDES, TABLE_XI,
+                      apply_filter_config)
 
 log = logging.getLogger("floodbench")
 
@@ -651,9 +652,12 @@ def select_representative_maps(records, per_method: int = 10) -> dict:
     """Per mapper method, pick records at uniform F1 quantiles.
 
     Sorting is by (F1, config_id); the first and last picks are the
-    method's minimum and maximum F1. Methods with at most ``per_method``
-    scored records return all of them.
+    method's minimum and maximum F1, so ``per_method`` must be at least 2.
+    Methods with at most ``per_method`` scored records return all of them.
     """
+    if per_method < 2:
+        raise InputError("per_method must be at least 2 to include both "
+                         "F1 endpoints")
     by_method: dict[str, list] = {}
     for rec in records:
         f1v = _rec_f1(rec)
@@ -736,10 +740,15 @@ def read_sweep_plan(path: str, out_dir: str | None = None,
         sections=tuple(opt("sections", read_cross_sections) or ()),
         external_reference_path=opt("external_despeckled_reference"))
 
-    def methods(section: str) -> list[str] | None:
+    def methods(section: str, known) -> list[str] | None:
         raw = parser.get(section, "methods", fallback="")
-        return [m.strip() for m in raw.split(",") if m.strip()] if raw \
-            else None
+        names = [m.strip() for m in raw.split(",") if m.strip()]
+        for name in names:
+            if name not in known:
+                raise InputError("plan [%s] names unknown method %r "
+                                 "(known: %s)"
+                                 % (section, name, ", ".join(known)))
+        return names if raw else None
 
     inputs.looks = parser.getfloat("filters", "looks", fallback=1.0)
     external_despeckled = opt("external_despeckled")
@@ -749,7 +758,7 @@ def read_sweep_plan(path: str, out_dir: str | None = None,
     if external_despeckled is None:
         log.info("stage=plan status=no_external_despeckle "
                  "detail=filter space shrinks by 1")
-    keep = methods("filters")
+    keep = methods("filters", FILTER_METHODS)
     if keep is not None:
         filters = [f for f in filters if f.method in keep]
 
@@ -763,17 +772,20 @@ def read_sweep_plan(path: str, out_dir: str | None = None,
     if cnn is None and rf is None:
         log.info("stage=plan status=no_external_masks "
                  "detail=mapper space shrinks by 2")
-    keep = methods("mappers")
+    keep = methods("mappers", MAPPER_METHODS)
     if keep is not None:
         mapper_morphs = [(m, mo) for m, mo in mapper_morphs
                          if m.method in keep]
 
     depth_configs = None
     if parser.getboolean("depth", "enabled", fallback=False):
-        keep = methods("depth")
+        keep = methods("depth", DEPTH_METHODS)
         depth_configs = [d for d in enumerate_depth()
                          if (keep is None or d.method in keep)
                          and (inputs.sections or d.method != "cross_section")]
+        if not depth_configs:
+            raise InputError("plan enables [depth] but no depth method "
+                             "applies (cross_section needs sections)")
 
     run_out = out_dir
     if run_out is None and parser.get("run", "out_dir", fallback=""):

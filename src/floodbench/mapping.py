@@ -18,8 +18,7 @@ from scipy.special import ndtr
 
 from .errors import DegenerateError, InputError
 from .raster import (BinaryMask, DRY, FLOODED, JsonParams, MASK_NODATA,
-                     Raster, label_array, mask_like, read_mask,
-                     require_same_grid)
+                     Raster, mask_like, read_mask, require_same_grid)
 
 log = logging.getLogger("floodbench")
 
@@ -495,41 +494,26 @@ def local_threshold_map(raster_db: Raster, cfg: MapperConfig,
 # ---------------------------------------------------------------------------
 # Chan-Vese active contour
 
-_KERNEL8 = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=np.int64)
 # update colors form a 2x2 tiling so no two same-color cells are 8-adjacent
 _N_COLORS = 4
 
 
-def perimeter8(labels: np.ndarray, valid: np.ndarray) -> int:
-    """Count unordered 8-adjacent label-disagreeing pairs of valid cells."""
-    total = 0
-    for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
-        a_r = slice(max(0, -dr), labels.shape[0] - max(0, dr))
-        b_r = slice(max(0, dr), labels.shape[0] - max(0, -dr))
-        a_c = slice(max(0, -dc), labels.shape[1] - max(0, dc))
-        b_c = slice(max(0, dc), labels.shape[1] - max(0, -dc))
-        diff = labels[a_r, a_c] != labels[b_r, b_c]
-        both = valid[a_r, a_c] & valid[b_r, b_c]
-        total += int(np.count_nonzero(diff & both))
-    return total
-
-
-def chan_vese_energy(values: np.ndarray, valid: np.ndarray,
-                     labels: np.ndarray, c1: float, c2: float,
-                     params: ChanVeseParams) -> float:
-    """Discretized two-phase segmentation energy."""
-    inside = valid & (labels == 1)
-    outside = valid & (labels == 0)
-    data = params.lambda1 * float(np.sum((values[inside] - c1) ** 2)) \
-        + params.lambda2 * float(np.sum((values[outside] - c2) ** 2))
-    return params.alpha * perimeter8(labels, valid) \
-        + params.nu * float(np.count_nonzero(inside)) + data
+def _count8(cells: np.ndarray) -> np.ndarray:
+    """Each cell's count of set 8-neighbours, as uint8; cells beyond the
+    grid count as unset."""
+    h, w = cells.shape
+    padded = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    padded[1:-1, 1:-1] = cells
+    count = np.zeros((h, w), dtype=np.uint8)
+    for dr in range(3):
+        for dc in range(3):
+            if dr != 1 or dc != 1:
+                count += padded[dr:dr + h, dc:dc + w]
+    return count
 
 
 class ChanVeseResult(NamedTuple):
     labels: np.ndarray
-    energies: list
-    iterations: int
     degenerate: bool
 
 
@@ -547,15 +531,14 @@ def chan_vese_segment(values: np.ndarray, valid: np.ndarray,
     if n_valid == 0:
         raise InputError("no valid cells to segment")
     if float(vals[valid].max() - vals[valid].min()) == 0.0:
-        return ChanVeseResult(labels, [], 0, True)
+        return ChanVeseResult(labels, True)
     rows = np.arange(values.shape[0])[:, None]
     cols = np.arange(values.shape[1])[None, :]
     color = ((rows % 2) * 2 + (cols % 2))
-    nb_valid = ndimage.correlate(valid.astype(np.int64), _KERNEL8,
-                                 mode="constant", cval=0)
-    energies: list[float] = []
-    sweeps = 0
-    for sweeps in range(1, params.max_iterations + 1):
+    takes = [(color == col_id) & valid for col_id in range(_N_COLORS)]
+    # labels are 1 only on valid cells, so nb_valid - nb_ones never wraps
+    nb_valid = _count8(valid)
+    for _ in range(params.max_iterations):
         inside = valid & (labels == 1)
         outside = valid & (labels == 0)
         n_in = int(np.count_nonzero(inside))
@@ -570,19 +553,16 @@ def chan_vese_segment(values: np.ndarray, valid: np.ndarray,
         prev = labels.copy()
         cost_in_data = params.lambda1 * (vals - c1) ** 2 + params.nu
         cost_out_data = params.lambda2 * (vals - c2) ** 2
-        for col_id in range(_N_COLORS):
-            nb_ones = ndimage.correlate((labels == 1).astype(np.int64),
-                                        _KERNEL8, mode="constant", cval=0)
+        for take in takes:
+            nb_ones = _count8(labels == 1)
             cost_in = cost_in_data + params.alpha * (nb_valid - nb_ones)
             cost_out = cost_out_data + params.alpha * nb_ones
-            take = (color == col_id) & valid
             labels = np.where(take, (cost_in < cost_out).astype(np.int8),
                               labels)
-        energies.append(chan_vese_energy(vals, valid, labels, c1, c2, params))
         changed = int(np.count_nonzero(labels != prev))
         if changed / n_valid < params.tolerance:
             break
-    return ChanVeseResult(labels, energies, sweeps, False)
+    return ChanVeseResult(labels, False)
 
 
 def chan_vese_map(raster_db: Raster, init: BinaryMask,
@@ -638,37 +618,23 @@ def fill_holes(mask: BinaryMask, max_area: int) -> BinaryMask:
     """
     if max_area < 0:
         raise InputError("hole area must be non-negative")
-    dry = mask.values == DRY
-    lab = label_array(dry, connectivity=4)
-    if not lab.sizes:
-        return mask.like(mask.values)
-    border = np.unique(np.concatenate([
-        lab.labels[0, :], lab.labels[-1, :],
-        lab.labels[:, 0], lab.labels[:, -1]]))
-    n = max(lab.sizes)
-    fill = np.zeros(n + 1, dtype=bool)
-    for label, size in lab.sizes.items():
-        fill[label] = size <= max_area
-    fill[border[border > 0]] = False
+    labels, _ = ndimage.label(mask.values == DRY)  # 4-connected
+    fill = np.bincount(labels.ravel()) <= max_area
     fill[0] = False
-    out = np.where(fill[lab.labels], FLOODED, mask.values)
-    return mask.like(out)
+    for edge in (labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]):
+        fill[edge] = False
+    return mask.like(np.where(fill[labels], FLOODED, mask.values))
 
 
 def remove_patches(mask: BinaryMask, max_area: int) -> BinaryMask:
     """Dry out 8-connected flooded patches of at most max_area pixels."""
     if max_area < 0:
         raise InputError("patch area must be non-negative")
-    lab = label_array(mask.values == FLOODED, connectivity=8)
-    if not lab.sizes:
-        return mask.like(mask.values)
-    n = max(lab.sizes)
-    drop = np.zeros(n + 1, dtype=bool)
-    for label, size in lab.sizes.items():
-        drop[label] = size <= max_area
+    labels, _ = ndimage.label(mask.values == FLOODED,
+                              structure=np.ones((3, 3), dtype=bool))
+    drop = np.bincount(labels.ravel()) <= max_area
     drop[0] = False
-    out = np.where(drop[lab.labels], DRY, mask.values)
-    return mask.like(out)
+    return mask.like(np.where(drop[labels], DRY, mask.values))
 
 
 def apply_morphology(mask: BinaryMask, morph: MorphologyConfig) -> BinaryMask:

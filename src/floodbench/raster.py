@@ -450,14 +450,8 @@ def connected_components(mask: BinaryMask, connectivity: int = 4) -> LabelMap:
     """Label maximal connected flooded regions of a mask."""
     if connectivity not in (4, 8):
         raise InputError("connectivity must be 4 or 8")
-    fg = mask.values == FLOODED
-    return label_array(fg, connectivity)
-
-
-def label_array(foreground: np.ndarray, connectivity: int) -> LabelMap:
-    """Deterministically label a boolean array (scan-order label numbering)."""
     st = _STRUCT4 if connectivity == 4 else _STRUCT8
-    raw, n = ndimage.label(foreground, structure=st)
+    raw, n = ndimage.label(mask.values == FLOODED, structure=st)
     if n == 0:
         return LabelMap(raw.astype(np.int32), {})
     flat = raw.ravel()

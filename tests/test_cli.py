@@ -234,6 +234,42 @@ def test_sweep_small_plan(tmp_path, scene_dir, capsys):
     assert len(rows) == 4 * 4  # (none + 3 median) x (2 global + 2 change)
 
 
+def _plan_with(tmp_path, extra: str):
+    plan = tmp_path / "plan.cfg"
+    plan.write_text(
+        "[inputs]\n"
+        "flood = scene/speckled_intensity.fbr\n"
+        "dem = scene/dem.fbr\n"
+        "permanent_water = scene/permanent_water.fbr\n"
+        "[run]\n"
+        "write_outputs = false\n" + extra)
+    return plan
+
+
+@pytest.mark.parametrize("section,bad,extra", [
+    ("filters", "nnone", "[filters]\nmethods = none, nnone\n"),
+    ("mappers", "global_treshold", "[mappers]\nmethods = global_treshold\n"),
+    ("depth", "fwdett", "[depth]\nenabled = true\nmethods = fwdett\n")],
+    ids=["filters", "mappers", "depth"])
+def test_sweep_plan_rejects_an_unknown_method(tmp_path, scene_dir, capsys,
+                                              section, bad, extra):
+    code = main(["sweep", "--plan", str(_plan_with(tmp_path, extra)),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "[%s]" % section in err and repr(bad) in err
+    assert not (tmp_path / "out" / "manifest.csv").exists()
+
+
+def test_sweep_plan_rejects_depth_with_no_method_that_applies(
+        tmp_path, scene_dir, capsys):
+    extra = "[depth]\nenabled = true\nmethods = cross_section\n"
+    code = main(["sweep", "--plan", str(_plan_with(tmp_path, extra)),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "[depth]" in capsys.readouterr().err
+
+
 def test_synth_six_files_and_determinism(tmp_path, capsys):
     spec = tmp_path / "scene.cfg"
     spec.write_text("[scene]\nwidth = 32\nheight = 32\nseed = 5\n")

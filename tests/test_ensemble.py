@@ -607,6 +607,13 @@ def test_representative_sampling_spans_methods():
     assert set(picks) == {"a", "b"}
 
 
+@pytest.mark.parametrize("per_method", [0, 1])
+def test_representative_sampling_needs_both_endpoints(per_method):
+    with pytest.raises(InputError, match="at least 2"):
+        select_representative_maps(fake_records([0.1, 0.5, 0.9]),
+                                   per_method=per_method)
+
+
 def test_representative_sampling_works_on_manifest_rows(tmp_path, sweep_scene):
     inputs = scene_inputs(sweep_scene)
     configs = small_config_set(None)

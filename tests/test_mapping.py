@@ -5,18 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from floodbench.errors import DegenerateError, InputError
 from floodbench.mapping import (BimodalityScores, ChanVeseParams, MapperAux,
-                                MapperConfig, MorphologyConfig,
+                                MapperConfig, MorphologyConfig, _count8,
                                 apply_mapper_config, bhattacharyya_coefficient,
-                                build_histogram, chan_vese_energy,
-                                chan_vese_map, chan_vese_segment,
-                                change_detection_map, fill_holes,
-                                fit_two_gaussians, global_threshold_map,
-                                ki_threshold, local_threshold_map,
-                                otsu_threshold, perimeter8, quadtree_tiles,
-                                remove_patches, tile_scores, to_db)
+                                build_histogram, chan_vese_map,
+                                chan_vese_segment, change_detection_map,
+                                fill_holes, fit_two_gaussians,
+                                global_threshold_map, ki_threshold,
+                                local_threshold_map, otsu_threshold,
+                                quadtree_tiles, remove_patches, tile_scores,
+                                to_db)
 from floodbench.metrics import confusion, f1
 from floodbench.raster import BinaryMask, Raster, mask_like, write_mask
 from floodbench.synth import SceneSpec, generate_scene
@@ -371,6 +372,47 @@ def test_local_threshold_given_table_matches_inline():
 # Chan-Vese
 
 
+def perimeter8(labels: np.ndarray, valid: np.ndarray) -> int:
+    """Count unordered 8-adjacent label-disagreeing pairs of valid cells."""
+    total = 0
+    for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
+        a_r = slice(max(0, -dr), labels.shape[0] - max(0, dr))
+        b_r = slice(max(0, dr), labels.shape[0] - max(0, -dr))
+        a_c = slice(max(0, -dc), labels.shape[1] - max(0, dc))
+        b_c = slice(max(0, dc), labels.shape[1] - max(0, -dc))
+        diff = labels[a_r, a_c] != labels[b_r, b_c]
+        both = valid[a_r, a_c] & valid[b_r, b_c]
+        total += int(np.count_nonzero(diff & both))
+    return total
+
+
+def chan_vese_energy(values: np.ndarray, valid: np.ndarray,
+                     labels: np.ndarray, c1: float, c2: float,
+                     params: ChanVeseParams) -> float:
+    """Discretized two-phase segmentation energy."""
+    inside = valid & (labels == 1)
+    outside = valid & (labels == 0)
+    data = params.lambda1 * float(np.sum((values[inside] - c1) ** 2)) \
+        + params.lambda2 * float(np.sum((values[outside] - c2) ** 2))
+    return params.alpha * perimeter8(labels, valid) \
+        + params.nu * float(np.count_nonzero(inside)) + data
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (9, 13),
+                                   (32, 32)])
+def test_count8_matches_ring_correlation(shape):
+    ring = np.ones((3, 3), dtype=np.int64)
+    ring[1, 1] = 0
+    rng = np.random.default_rng(sum(shape))
+    for p in (0.0, 0.5, 1.0):
+        cells = rng.random(shape) < p
+        expect = ndimage.correlate(cells.astype(np.int64), ring,
+                                   mode="constant", cval=0)
+        got = _count8(cells)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expect)
+
+
 def test_chan_vese_piecewise_constant_recovers_region():
     vals = np.full((40, 40), -8.0)
     vals[12:30, 8:32] = -18.0
@@ -398,12 +440,25 @@ def test_chan_vese_alpha_zero_is_weighted_nearest_mean():
 
 
 def test_chan_vese_energy_never_increases(mapping_scene):
+    # sweep n's energy scores its labels against the oriented class means
+    # of sweep n - 1's labels, the means that sweep descended on
     db = to_db(mapping_scene.speckled_intensity)
-    res = chan_vese_segment(db.values, db.finite,
-                            mapping_scene.permanent_water.values == 1,
-                            ChanVeseParams(alpha=0.2))
-    diffs = np.diff(np.array(res.energies))
-    assert np.all(diffs <= 1e-6 * max(1.0, abs(res.energies[0])))
+    valid = db.finite
+    vals = np.where(valid, db.values, 0.0)
+    seed = mapping_scene.permanent_water.values == 1
+    labels = np.where(valid, seed, False).astype(np.int8)
+    energies = []
+    for n in range(1, 11):
+        params = ChanVeseParams(alpha=0.2, max_iterations=n)
+        c1 = float(vals[valid & (labels == 1)].mean())
+        c2 = float(vals[valid & (labels == 0)].mean())
+        labels = chan_vese_segment(db.values, valid, seed, params).labels
+        energies.append(chan_vese_energy(vals, valid, labels, min(c1, c2),
+                                         max(c1, c2), params))
+    assert np.array_equal(labels, chan_vese_segment(
+        db.values, valid, seed, ChanVeseParams(alpha=0.2)).labels)
+    diffs = np.diff(np.array(energies))
+    assert np.all(diffs <= 1e-6 * max(1.0, abs(energies[0])))
 
 
 def test_chan_vese_single_flip_energy_minimality_8x8():
@@ -593,6 +648,31 @@ def test_morphology_order_fill_then_remove():
     assert np.array_equal(apply_morphology(m, cfg).values, stepwise.values)
     assert stepwise.values[4, 4] == 1
     assert stepwise.values[10, 10] == 0
+
+
+def test_morphology_matches_flood_fill_oracle():
+    from test_raster import _flood_fill_oracle
+    rng = np.random.default_rng(58)
+    for _ in range(12):
+        h, w = (int(x) for x in rng.integers(1, 25, size=2))
+        vals = (rng.random((h, w)) < 0.5).astype(np.uint8)
+        vals[rng.random((h, w)) < 0.1] = 255
+        m = BinaryMask(w, h, 10.0, 0.0, 0.0, vals)
+        holes = _flood_fill_oracle(vals == 0, 4)
+        patches = _flood_fill_oracle(vals == 1, 8)
+        exterior = set(np.concatenate([holes[0], holes[-1], holes[:, 0],
+                                       holes[:, -1]]).tolist())
+        for area in (0, 1, 3, 10):
+            expect = vals.copy()
+            for lab in range(1, holes.max() + 1):
+                if lab not in exterior and (holes == lab).sum() <= area:
+                    expect[holes == lab] = 1
+            assert np.array_equal(fill_holes(m, area).values, expect)
+            expect = vals.copy()
+            for lab in range(1, patches.max() + 1):
+                if (patches == lab).sum() <= area:
+                    expect[patches == lab] = 0
+            assert np.array_equal(remove_patches(m, area).values, expect)
 
 
 # ---------------------------------------------------------------------------
