@@ -14,19 +14,20 @@ import sys
 
 import numpy as np
 
-from .depth import (DepthAux, DepthConfig, DepthField, apply_depth_config,
-                    read_cross_sections)
+from .depth import (DEPTH_METHODS, DepthAux, DepthConfig, DepthField,
+                    apply_depth_config, read_cross_sections)
 from .ensemble import (enumerate_depth, enumerate_filters, enumerate_mappers,
                        read_sweep_plan, sweep)
 from .errors import DegenerateError, FloodbenchError, InputError
-from .mapping import (ChanVeseParams, MapperAux, MapperConfig,
-                      MorphologyConfig, apply_mapper_config)
+from .mapping import (MAPPER_METHODS, SELECTORS, ChanVeseParams, MapperAux,
+                      MapperConfig, MorphologyConfig, apply_mapper_config)
 from .metrics import (MetricsRecord, accuracy, append_manifest_row, confusion,
-                      depth_rmse, f1, flooded_area_km2, manifest_header_line,
-                      read_watermarks, rmse_at_points)
+                      depth_rmse, f1, flooded_area_km2, read_watermarks,
+                      rmse_at_points, write_manifest_header)
 from .raster import (atomic_write_bytes, read_mask, read_raster, write_mask,
                      write_raster)
-from .speckle import FilterConfig, SpeckleModel, apply_filter_config
+from .speckle import (FILTER_METHODS, FilterConfig, SpeckleModel,
+                      apply_filter_config)
 from .synth import generate_scene, read_scene_spec, write_scene
 
 log = logging.getLogger("floodbench")
@@ -47,9 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("despeckle", help="apply one speckle filter")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--method", required=True,
-                   choices=["none", "median", "lee", "lee_sigma", "frost",
-                            "external"])
+    p.add_argument("--method", required=True, choices=FILTER_METHODS)
     p.add_argument("--window", type=int, help="window side (3, 5, or 7)")
     p.add_argument("--xi", type=float, help="cumulative probability "
                                             "(lee_sigma)")
@@ -61,11 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True,
                    help="linear-intensity raster")
     p.add_argument("--out", required=True)
-    p.add_argument("--method", required=True,
-                   choices=["global_threshold", "local_threshold",
-                            "active_contour", "change_detection",
-                            "external_mask"])
-    p.add_argument("--selector", choices=["otsu", "ki"], default="otsu")
+    p.add_argument("--method", required=True, choices=MAPPER_METHODS)
+    p.add_argument("--selector", choices=SELECTORS, default="otsu")
     p.add_argument("--ref", help="reference image (change detection)")
     p.add_argument("--init-mask", dest="init_mask",
                    help="permanent-water mask (active contour)")
@@ -83,8 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("depth", help="estimate water depth")
     p.add_argument("--mask", required=True)
     p.add_argument("--dem", required=True)
-    p.add_argument("--method", required=True,
-                   choices=["fwdet", "flexth", "cross_section"])
+    p.add_argument("--method", required=True, choices=DEPTH_METHODS)
     p.add_argument("--slope-threshold", dest="slope", type=float)
     p.add_argument("--smoothing", type=int, default=3)
     p.add_argument("--neighbors", type=int, default=10)
@@ -230,7 +225,7 @@ def cmd_metrics(args) -> int:
         exists = os.path.exists(args.out_csv)
         with open(args.out_csv, "a", newline="") as fh:
             if not exists:
-                fh.write(manifest_header_line() + "\n")
+                write_manifest_header(fh)
             append_manifest_row(fh, rec)
     return EXIT_OK
 

@@ -41,9 +41,9 @@ from .mapping import (ChanVeseParams, MAPPER_METHODS, MapperAux,
                       apply_mapper_config)
 from .metrics import (MetricsRecord, accuracy, confusion, depth_rmse, f1,
                       flooded_area_km2, read_watermarks, rmse_at_points)
-from .raster import (BinaryMask, Raster, canonical_json, digest_bytes,
-                     mask_like, nearest_table, read_mask, read_raster,
-                     require_same_grid, temp_file, write_mask, write_raster)
+from .raster import (BinaryMask, Raster, atomic_file, canonical_json,
+                     digest_bytes, mask_like, nearest_table, read_mask,
+                     read_raster, require_same_grid, write_mask, write_raster)
 from .speckle import (FILTER_METHODS, FilterConfig, SpeckleModel,
                       TABLE_ALPHA, TABLE_WINDOW_SIDES, TABLE_XI,
                       apply_filter_config)
@@ -196,7 +196,7 @@ class StageCache:
     if it had been stored.
 
     One cache serves one thread and takes no lock. Caches may share a
-    directory: each store writes a temp file and renames it into place.
+    directory: each store is one ``atomic_file``.
     """
 
     def __init__(self, directory: str | None = None,
@@ -300,16 +300,9 @@ class StageCache:
 
     def _store(self, key: str, obj) -> None:
         arrays = _arrays(obj)
-        fd, tmp = temp_file(self.directory, suffix=".npy")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.save(fh, np.stack(arrays) if len(arrays) > 1
-                        else arrays[0], allow_pickle=False)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with atomic_file(self._path(key)) as fh:
+            np.save(fh, np.stack(arrays) if len(arrays) > 1 else arrays[0],
+                    allow_pickle=False)
 
 
 def _arrays(obj) -> list[np.ndarray]:
@@ -597,8 +590,8 @@ def sweep(plan: SweepPlan) -> str:
     order over its own StageCache (an equal share of MEMORY_TIER_BYTES) on
     the shared cache directory. An exception that escapes a config or
     reaches the caller stops every group before its next config. The rows
-    then go in plan order to a temp file that replaces ``manifest.csv``,
-    so an interrupted sweep leaves the previous manifest as it was, and a
+    then go in plan order to ``manifest.csv`` through ``atomic_file``, so
+    an interrupted sweep leaves the previous manifest as it was, and a
     resumed one recomputes only missing stages.
     """
     plan.inputs.validate()
@@ -630,18 +623,12 @@ def sweep(plan: SweepPlan) -> str:
             stop.set()
         counts = [f.result() for f in futures]
     manifest = os.path.join(plan.out_dir, "manifest.csv")
-    fd, tmp = temp_file(plan.out_dir, prefix=".manifest-", suffix=".csv")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(metrics.manifest_header_line() + "\n")
-            for rec in records:
-                metrics.append_manifest_row(fh, rec)
-                log.info("stage=record config=%s status=%s", rec.config_id,
-                         rec.status)
-        os.replace(tmp, manifest)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with atomic_file(manifest, "w", newline="") as fh:
+        metrics.write_manifest_header(fh)
+        for rec in records:
+            metrics.append_manifest_row(fh, rec)
+            log.info("stage=record config=%s status=%s", rec.config_id,
+                     rec.status)
     log.info("stage=sweep status=done records=%d cache_hits=%d "
              "cache_misses=%d", len(records), sum(h for h, _ in counts),
              sum(m for _, m in counts))
@@ -660,38 +647,23 @@ def select_representative_maps(records, per_method: int = 10) -> dict:
                          "F1 endpoints")
     by_method: dict[str, list] = {}
     for rec in records:
-        f1v = _rec_f1(rec)
-        if f1v is None:
+        row = rec if isinstance(rec, dict) else vars(rec)
+        if row.get("status") == "failed" or row.get("f1") in (None, ""):
             continue
-        by_method.setdefault(_rec_field(rec, "mapper_method"), []).append(rec)
+        by_method.setdefault(row.get("mapper_method"), []).append(
+            (float(row["f1"]), row.get("config_id"), rec))
     out = {}
-    for method, recs in by_method.items():
-        recs.sort(key=lambda r: (_rec_f1(r), _rec_field(r, "config_id")))
+    for method, scored in by_method.items():
+        scored.sort(key=lambda s: s[:2])
+        recs = [s[2] for s in scored]
         n = len(recs)
         if n <= per_method:
-            out[method] = list(recs)
+            out[method] = recs
             continue
         idx = sorted({int(round(i * (n - 1) / (per_method - 1)))
                       for i in range(per_method)})
         out[method] = [recs[i] for i in idx]
     return out
-
-
-def _rec_field(rec, name: str):
-    if isinstance(rec, dict):
-        return rec.get(name)
-    return getattr(rec, name)
-
-
-def _rec_f1(rec):
-    if isinstance(rec, dict):
-        raw = rec.get("f1")
-        if raw in (None, "") or rec.get("status") == "failed":
-            return None
-        return float(raw)
-    if getattr(rec, "status", "ok") == "failed":
-        return None
-    return rec.f1
 
 
 # ---------------------------------------------------------------------------
@@ -761,6 +733,8 @@ def read_sweep_plan(path: str, out_dir: str | None = None,
     keep = methods("filters", FILTER_METHODS)
     if keep is not None:
         filters = [f for f in filters if f.method in keep]
+    if not filters:
+        raise InputError("plan [filters] leaves no filter configuration")
 
     cnn = opt("external_mask_cnn")
     rf = opt("external_mask_rf")
@@ -776,6 +750,10 @@ def read_sweep_plan(path: str, out_dir: str | None = None,
     if keep is not None:
         mapper_morphs = [(m, mo) for m, mo in mapper_morphs
                          if m.method in keep]
+    if not mapper_morphs:
+        raise InputError("plan [mappers] leaves no mapper configuration "
+                         "(external_mask needs external_mask_cnn or "
+                         "external_mask_rf)")
 
     depth_configs = None
     if parser.getboolean("depth", "enabled", fallback=False):

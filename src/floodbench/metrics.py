@@ -182,9 +182,14 @@ def manifest_header_line() -> str:
     return ",".join(MANIFEST_FIELDS)
 
 
+def write_manifest_header(fh) -> None:
+    """The header row, written by the same csv writer as the rows, so
+    every line of a manifest ends in \\r\\n."""
+    csv.writer(fh).writerow(MANIFEST_FIELDS)
+
+
 def append_manifest_row(fh, rec: MetricsRecord) -> None:
     csv.writer(fh).writerow(rec.to_row())
-    fh.flush()
 
 
 def read_manifest(path: str) -> list[dict]:

@@ -14,6 +14,7 @@ resampling. Two on-disk formats are supported:
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -39,8 +40,6 @@ _BINARY_MAGIC = b"FBR1"
 _BINARY_HEADER = struct.Struct("<II d d d f")
 _ASCII_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize",
                "nodata_value")
-
-DEFAULT_NODATA = -9999.0
 
 
 def _process_umask() -> int:
@@ -291,29 +290,30 @@ def write_mask(mask: BinaryMask, path: str, fmt: str | None = None) -> None:
     write_raster(r, path, fmt)
 
 
-def temp_file(directory: str, prefix: str = "tmp",
-              suffix: str = "") -> tuple[int, str]:
-    """A new temp file in ``directory`` with mode FILE_MODE, for the temp
-    half of an atomic write-temp-then-rename: (open fd, path)."""
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix, suffix=suffix)
-    os.fchmod(fd, FILE_MODE)
-    return fd, tmp
+@contextlib.contextmanager
+def atomic_file(path: str, mode: str = "wb", **open_kwargs):
+    """Open a temp file beside ``path`` (mode FILE_MODE) for writing; the
+    block's clean exit renames it onto ``path``, and any exception removes
+    it, so ``path`` holds either its old bytes or all of the new ones.
+    Every file a sweep writes goes through here."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=".tmp-")
+    try:
+        with os.fdopen(fd, mode, **open_kwargs) as fh:
+            os.fchmod(fd, FILE_MODE)
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Write payload to path via a temp file in the same directory."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write payload to path with ``atomic_file``, making its directory."""
     try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = temp_file(directory, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with atomic_file(path) as fh:
+            fh.write(payload)
     except OSError as exc:
         raise InputError("cannot write %s: %s" % (path, exc)) from exc
 

@@ -1,7 +1,9 @@
 """CLI subcommands: outputs, exit codes, and diagnostics."""
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -270,6 +272,19 @@ def test_sweep_plan_rejects_depth_with_no_method_that_applies(
     assert "[depth]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,extra", [
+    ("filters", "[filters]\nmethods = ,\n"),
+    ("mappers", "[mappers]\nmethods = external_mask\n")],
+    ids=["filters", "mappers"])
+def test_sweep_plan_rejects_an_empty_method_list(tmp_path, scene_dir, capsys,
+                                                 section, extra):
+    code = main(["sweep", "--plan", str(_plan_with(tmp_path, extra)),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "[%s]" % section in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.csv").exists()
+
+
 def test_synth_six_files_and_determinism(tmp_path, capsys):
     spec = tmp_path / "scene.cfg"
     spec.write_text("[scene]\nwidth = 32\nheight = 32\nseed = 5\n")
@@ -369,6 +384,68 @@ def test_sweep_corrupt_cache_entries_are_recomputed(tmp_path, scene_dir,
     assert main(["-v", "sweep", "--plan", str(plan), "--out-dir",
                  str(tmp_path / "o3")]) == 0
     assert "status=corrupt" not in capsys.readouterr().err
+
+
+def test_manifest_lines_share_one_ending(tmp_path, scene_dir, capsys):
+    assert main(["sweep", "--plan", str(cached_plan(tmp_path)), "--out-dir",
+                 str(tmp_path / "o")]) == 0
+    manifest = capsys.readouterr().out.strip()
+    mask = str(scene_dir / "truth_mask.fbr")
+    scores = tmp_path / "scores.csv"
+    for _ in range(2):
+        assert main(["metrics", "--pred", mask, "--ref", mask,
+                     "--out-csv", str(scores)]) == 0
+    for path, lines in ((manifest, 1 + 8), (scores, 1 + 2)):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert data.count(b"\n") == data.count(b"\r\n") == lines
+
+
+def npy_entries(directory) -> int:
+    return sum(name.endswith(".npy") for name in os.listdir(directory)) \
+        if directory.exists() else 0
+
+
+def test_killed_sweep_resumes_to_a_clean_run(tmp_path, scene_dir, capsys):
+    """SIGKILL a two-thread sweep while both filter groups store entries,
+    then rerun it over the same out and cache directory."""
+    plan = tmp_path / "plan.cfg"
+    plan.write_text(
+        "[inputs]\n"
+        "flood = scene/speckled_intensity.fbr\n"
+        "truth_mask = scene/truth_mask.fbr\n"
+        "[filters]\nmethods = none,median,lee\nlooks = 8\n"
+        "[mappers]\nmethods = global_threshold,local_threshold\n")
+    assert main(["sweep", "--plan", str(plan), "--out-dir",
+                 str(tmp_path / "clean")]) == 0
+    clean = read_manifest(capsys.readouterr().out.strip())
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "floodbench.cli", "sweep", "--plan",
+            str(plan), "--out-dir", str(out), "--jobs", "2"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        floodbench.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while npy_entries(out / "cache") < 30:
+            assert proc.poll() is None, "the sweep ended before the kill"
+            assert time.monotonic() < deadline
+            time.sleep(0.002)
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+    assert proc.returncode == -signal.SIGKILL
+    assert not (out / "manifest.csv").exists()
+    argv.insert(3, "-v")
+    done = subprocess.run(argv, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "status=cached" in done.stderr
+    assert "status=corrupt" not in done.stderr
+    assert manifest_multiset(read_manifest(str(out / "manifest.csv"))) \
+        == manifest_multiset(clean)
 
 
 # ---------------------------------------------------------------------------

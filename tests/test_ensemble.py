@@ -1446,6 +1446,27 @@ def test_failed_output_rename_is_one_failed_row(tmp_path, sweep_scene,
             == ["mask.fbr"]
 
 
+def test_failed_manifest_rename_keeps_the_previous_manifest(
+        tmp_path, sweep_scene, monkeypatch):
+    inputs = scene_inputs(sweep_scene)
+    configs = small_config_set(None)
+    out_dir = str(tmp_path / "out")
+    cache_dir = str(tmp_path / "cache")
+    manifest = sweep(SweepPlan(inputs, configs[:2], out_dir,
+                               cache_dir=cache_dir, write_outputs=False))
+    with open(manifest, "rb") as fh:
+        before = fh.read()
+    failed = failing_renames(monkeypatch,
+                             lambda dst: dst.endswith("manifest.csv"))
+    with pytest.raises(OSError):
+        sweep(SweepPlan(inputs, configs, out_dir, cache_dir=cache_dir,
+                        write_outputs=False))
+    assert failed == [manifest]
+    with open(manifest, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(out_dir) == ["manifest.csv"]
+
+
 # ---------------------------------------------------------------------------
 # content digests: each grid object hashes its content once
 
