@@ -8,6 +8,7 @@ structured stage=... config=... status=... lines.
 from __future__ import annotations
 
 import argparse
+import io
 import logging
 import os
 import sys
@@ -222,11 +223,16 @@ def cmd_metrics(args) -> int:
           % (rec.acc, rec.f1, rec.area_km2,
              "%.6f" % rec.rmse_m if rec.rmse_m is not None else "n/a"))
     if args.out_csv:
-        exists = os.path.exists(args.out_csv)
-        with open(args.out_csv, "a", newline="") as fh:
-            if not exists:
-                write_manifest_header(fh)
-            append_manifest_row(fh, rec)
+        rows = io.StringIO()
+        try:
+            with open(args.out_csv, "rb") as fh:
+                old = fh.read()
+        except FileNotFoundError:
+            old = b""
+            write_manifest_header(rows)
+        append_manifest_row(rows, rec)
+        # the old bytes and the new row replace the file in one rename
+        atomic_write_bytes(args.out_csv, old + rows.getvalue().encode())
     return EXIT_OK
 
 

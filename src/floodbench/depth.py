@@ -147,27 +147,46 @@ def _field_from_wse(dem: Raster, fl: np.ndarray, wse_cells: np.ndarray,
     return DepthField(dem.like(depth), dem.like(wse))
 
 
+def _surface(mask: BinaryMask, dem: Raster, slope_threshold: float | None,
+             k: int, near) -> DepthField:
+    """Inverse-distance weighting of the k nearest boundary elevations.
+
+    The k nearest boundary cells of every flooded cell are ranked by
+    (squared distance, row, col) and found exactly (all boundary cells
+    when k exceeds the boundary size) by ``near(boundary cells, flooded
+    cells, k)``. Distances are Euclidean in cells with a floor of one
+    cell; weights are 1/d normalized over the k neighbors, summed nearest
+    first. At k = 1 the one weight is exactly 1.0, so the surface is the
+    nearest boundary cell's elevation.
+    """
+    boundary = extract_boundary(mask, dem, slope_threshold)
+    fl = mask.values == FLOODED
+    cells = np.argwhere(fl)
+    src = boundary.cells
+    idx, d2 = near(src, cells, min(k, src.shape[0]))
+    w = 1.0 / np.maximum(np.sqrt(d2.astype(np.float64)), 1.0)
+    wn = w / w.sum(axis=1, keepdims=True)
+    wse_cells = np.sum(wn * boundary.elevations[idx], axis=1)
+    return _field_from_wse(dem, fl, wse_cells, cells)
+
+
 def fwdet(mask: BinaryMask, dem: Raster, cfg: DepthConfig,
           near=nearest_table) -> DepthField:
     """Nearest-boundary flat-water depth with 3x3 smoothing passes.
 
     Every flooded cell takes the DEM elevation of its nearest boundary
-    cell as the water surface (ties toward the lowest row, then column);
-    depth is clamped non-negative and then smoothed
-    ``cfg.smoothing_iterations`` times by a 3x3 mean over flooded cells
-    only, re-clamping after each pass. The reported WSE is the
-    pre-smoothing surface. The nearest cells come from
+    cell as the water surface (ties toward the lowest row, then column):
+    the K = 1 surface of FLEXTH. Depth is clamped non-negative and then
+    smoothed ``cfg.smoothing_iterations`` times by a 3x3 mean over
+    flooded cells only, re-clamping after each pass. The reported WSE is
+    the pre-smoothing surface. The nearest cells come from
     ``near(boundary cells, flooded cells, 1)``, by default
     ``raster.nearest_table``: a distance transform with a lattice tie
     repair. A sweep passes a ``near`` that shares one table among the
     configs that query the same boundary.
     """
-    boundary = extract_boundary(mask, dem, cfg.slope_threshold)
+    field = _surface(mask, dem, cfg.slope_threshold, 1, near)
     fl = mask.values == FLOODED
-    cells = np.argwhere(fl)
-    idx, _ = near(boundary.cells, cells, 1)
-    wse_cells = boundary.elevations[idx[:, 0]]
-    field = _field_from_wse(dem, fl, wse_cells, cells)
     depth = np.where(fl, field.depth.values, 0.0)
     smoothed = _smooth_depth(depth, fl, cfg.smoothing_iterations or 0)
     out = np.full(dem.values.shape, dem.nodata)
@@ -192,32 +211,18 @@ def _smooth_depth(depth: np.ndarray, fl: np.ndarray, iterations: int) -> np.ndar
 def flexth(mask: BinaryMask, dem: Raster, cfg: DepthConfig,
            exclusion: BinaryMask | None = None,
            near=nearest_table) -> DepthField:
-    """Inverse-distance weighting of the K nearest boundary elevations.
+    """Inverse-distance weighting of the K = ``cfg.max_neighbors`` nearest
+    boundary elevations (``_surface``).
 
-    The K nearest boundary cells are ranked by (squared distance, row,
-    col) and found exactly (all boundary cells when K exceeds the
-    boundary size) by ``near(boundary cells, flooded cells, K)``, by
-    default ``raster.nearest_table``'s k-d tree query. A sweep passes a
-    ``near`` that reads them as the first K columns of one table shared
-    by the configs that query the same boundary. Distances are Euclidean
-    in cells with a floor of one cell; weights are 1/d normalized over
-    the K neighbors, summed nearest first. When an exclusion mask is
-    given, the flood first grows through every exclusion cell
-    4-connected to it, and the grown cells receive interpolated surfaces
-    like any other flooded cell.
+    ``near`` defaults to ``raster.nearest_table``'s k-d tree query. A
+    sweep passes a ``near`` that reads the K nearest as the first K
+    columns of one table shared by the configs that query the same
+    boundary. When an exclusion mask is given, the flood first grows
+    through every exclusion cell 4-connected to it, and the grown cells
+    receive interpolated surfaces like any other flooded cell.
     """
     work = mask if exclusion is None else expand_into_exclusion(mask, exclusion)
-    boundary = extract_boundary(work, dem, cfg.slope_threshold)
-    fl = work.values == FLOODED
-    cells = np.argwhere(fl)
-    src = boundary.cells
-    k = min(cfg.max_neighbors, src.shape[0])
-    idx, d2 = near(src, cells, k)
-    dist = np.sqrt(d2.astype(np.float64))
-    w = 1.0 / np.maximum(dist, 1.0)
-    wn = w / w.sum(axis=1, keepdims=True)
-    wse_cells = np.sum(wn * boundary.elevations[idx], axis=1)
-    return _field_from_wse(dem, fl, wse_cells, cells)
+    return _surface(work, dem, cfg.slope_threshold, cfg.max_neighbors, near)
 
 
 def expand_into_exclusion(mask: BinaryMask, exclusion: BinaryMask) -> BinaryMask:

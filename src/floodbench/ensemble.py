@@ -736,16 +736,17 @@ def read_sweep_plan(path: str, out_dir: str | None = None,
     if not filters:
         raise InputError("plan [filters] leaves no filter configuration")
 
-    cnn = opt("external_mask_cnn")
-    rf = opt("external_mask_rf")
-    mapper_morphs = enumerate_mappers(
-        with_morphology=parser.getboolean("morphology", "enabled",
-                                          fallback=False),
-        cnn_path=cnn, rf_path=rf,
-        include_external=cnn is not None or rf is not None)
-    if cnn is None and rf is None:
-        log.info("stage=plan status=no_external_masks "
-                 "detail=mapper space shrinks by 2")
+    masks = {label: opt("external_mask_" + label) for label in ("cnn", "rf")}
+    mapper_morphs = [
+        (m, mo) for m, mo in enumerate_mappers(
+            with_morphology=parser.getboolean("morphology", "enabled",
+                                              fallback=False),
+            cnn_path=masks["cnn"], rf_path=masks["rf"])
+        if m.method != "external_mask" or masks[m.external_label]]
+    for label, path in masks.items():
+        if path is None:
+            log.info("stage=plan status=no_external_mask label=%s "
+                     "detail=mapper space shrinks by 1", label)
     keep = methods("mappers", MAPPER_METHODS)
     if keep is not None:
         mapper_morphs = [(m, mo) for m, mo in mapper_morphs

@@ -178,10 +178,6 @@ class MetricsRecord:
         return [fmt(getattr(self, name)) for name in MANIFEST_FIELDS]
 
 
-def manifest_header_line() -> str:
-    return ",".join(MANIFEST_FIELDS)
-
-
 def write_manifest_header(fh) -> None:
     """The header row, written by the same csv writer as the rows, so
     every line of a manifest ends in \\r\\n."""

@@ -85,7 +85,43 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Raster:
+class _Grid:
+    """The geometry every grid shares: ``width`` x ``height`` square cells
+    of side ``cell_size``, lower-left corner at (origin_x, origin_y).
+    Stages that combine grids require equal ``geometry``."""
+
+    width: int
+    height: int
+    cell_size: float
+    origin_x: float
+    origin_y: float
+
+    @property
+    def geometry(self) -> tuple:
+        return (self.width, self.height, self.cell_size,
+                self.origin_x, self.origin_y)
+
+    def _set_values(self, dtype, check=None) -> None:
+        """Check the geometry and the value count, shape ``values`` to
+        (height, width), pass them to ``check``, and keep a read-only
+        ``dtype`` copy of them."""
+        if self.width <= 0 or self.height <= 0:
+            raise InputError("%s dimensions must be positive"
+                             % type(self).__name__)
+        if not self.cell_size > 0:
+            raise InputError("non-positive cell size")
+        v = np.asarray(self.values)
+        if v.size != self.width * self.height:
+            raise InputError("value count mismatch: %d values for %dx%d"
+                             % (v.size, self.width, self.height))
+        v = v.reshape(self.height, self.width)
+        if check is not None:
+            check(v)
+        object.__setattr__(self, "values", _freeze(np.array(v, dtype=dtype)))
+
+
+@dataclass(frozen=True)
+class Raster(_Grid):
     """Georeferenced single-band grid of float64 values.
 
     ``values`` has shape (height, width) with row 0 the north row. Cells
@@ -95,50 +131,26 @@ class Raster:
     once per raster) stays true to them.
     """
 
-    width: int
-    height: int
-    cell_size: float
-    origin_x: float
-    origin_y: float
     nodata: float
     values: np.ndarray
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise InputError("raster dimensions must be positive")
-        if not self.cell_size > 0:
-            raise InputError("non-positive cell size")
-        v = np.array(self.values, dtype=np.float64)
-        if v.shape != (self.height, self.width):
-            if v.size == self.width * self.height:
-                v = v.reshape(self.height, self.width)
-            else:
-                raise InputError("value count mismatch: %d values for %dx%d"
-                                 % (v.size, self.width, self.height))
-        object.__setattr__(self, "values", _freeze(v))
+        self._set_values(np.float64)
 
     @functools.cached_property
     def digest(self) -> str:
         """Content hash of geometry, nodata and values; stage cache keys
         name a raster by it."""
-        return _grid_digest([self.width, self.height, self.cell_size,
-                             self.origin_x, self.origin_y, self.nodata],
-                            self.values)
+        return _grid_digest([*self.geometry, self.nodata], self.values)
 
     @property
     def finite(self) -> np.ndarray:
         """Boolean array: cell holds a valid value (not nodata, not NaN)."""
         return np.isfinite(self.values) & (self.values != self.nodata)
 
-    @property
-    def geometry(self) -> tuple:
-        return (self.width, self.height, self.cell_size,
-                self.origin_x, self.origin_y)
-
     def like(self, values: np.ndarray, nodata: float | None = None) -> "Raster":
         """New raster with this geometry and the given values."""
-        return Raster(self.width, self.height, self.cell_size,
-                      self.origin_x, self.origin_y,
+        return Raster(*self.geometry,
                       self.nodata if nodata is None else nodata, values)
 
     def cell_of(self, x: float, y: float) -> tuple[int, int] | None:
@@ -151,39 +163,21 @@ class Raster:
         return None
 
 
+def _require_mask_codes(v: np.ndarray) -> None:
+    if not ((v == DRY) | (v == FLOODED) | (v == MASK_NODATA)).all():
+        bad = [c for c in np.unique(v).tolist()
+               if c not in (DRY, FLOODED, MASK_NODATA)]
+        raise InputError("mask contains codes outside {0, 1, 255}: %r" % bad)
+
+
 @dataclass(frozen=True)
-class BinaryMask:
+class BinaryMask(_Grid):
     """Same-grid classification with codes 0 (dry), 1 (flooded), 255 (nodata)."""
 
-    width: int
-    height: int
-    cell_size: float
-    origin_x: float
-    origin_y: float
     values: np.ndarray
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise InputError("mask dimensions must be positive")
-        if not self.cell_size > 0:
-            raise InputError("non-positive cell size")
-        v = np.asarray(self.values)
-        if v.shape != (self.height, self.width):
-            if v.size == self.width * self.height:
-                v = v.reshape(self.height, self.width)
-            else:
-                raise InputError("value count mismatch: %d values for %dx%d"
-                                 % (v.size, self.width, self.height))
-        if not ((v == DRY) | (v == FLOODED) | (v == MASK_NODATA)).all():
-            bad = [c for c in np.unique(v).tolist()
-                   if c not in (DRY, FLOODED, MASK_NODATA)]
-            raise InputError("mask contains codes outside {0, 1, 255}: %r" % bad)
-        object.__setattr__(self, "values", _freeze(v.astype(np.uint8)))
-
-    @property
-    def geometry(self) -> tuple:
-        return (self.width, self.height, self.cell_size,
-                self.origin_x, self.origin_y)
+        self._set_values(np.uint8, _require_mask_codes)
 
     @functools.cached_property
     def digest(self) -> str:
@@ -199,16 +193,14 @@ class BinaryMask:
         return self.values != MASK_NODATA
 
     def like(self, values: np.ndarray) -> "BinaryMask":
-        return BinaryMask(self.width, self.height, self.cell_size,
-                          self.origin_x, self.origin_y, values)
+        return BinaryMask(*self.geometry, values)
 
     def flooded_count(self) -> int:
         return int(np.count_nonzero(self.values == FLOODED))
 
 
 def mask_like(raster: Raster, values: np.ndarray) -> BinaryMask:
-    return BinaryMask(raster.width, raster.height, raster.cell_size,
-                      raster.origin_x, raster.origin_y, values)
+    return BinaryMask(*raster.geometry, values)
 
 
 def require_same_grid(a, b, what: str = "rasters") -> None:
@@ -278,16 +270,15 @@ def read_mask(path: str, fmt: str | None = None,
     iv = v.astype(np.int64)
     if np.any(iv != v):
         raise InputError("mask file holds non-integer codes")
-    mask = BinaryMask(r.width, r.height, r.cell_size, r.origin_x, r.origin_y, iv)
+    mask = BinaryMask(*r.geometry, iv)
     if reference is not None:
         require_same_grid(mask, reference, "mask and reference grid")
     return mask
 
 
 def write_mask(mask: BinaryMask, path: str, fmt: str | None = None) -> None:
-    r = Raster(mask.width, mask.height, mask.cell_size, mask.origin_x,
-               mask.origin_y, float(MASK_NODATA), mask.values)
-    write_raster(r, path, fmt)
+    write_raster(Raster(*mask.geometry, float(MASK_NODATA), mask.values),
+                 path, fmt)
 
 
 @contextlib.contextmanager
@@ -343,17 +334,21 @@ def _read_ascii(path: str) -> Raster:
         nodata = float(header["nodata_value"])
     except ValueError as exc:
         raise RasterFormatError("malformed header: %s" % exc) from exc
-    if cell <= 0:
-        raise RasterFormatError("non-positive cell size")
     body = " ".join(lines[6:])
     try:
         values = np.array(body.split(), dtype=np.float64)
     except ValueError as exc:
         raise RasterFormatError("unparseable value: %s" % exc) from exc
-    if values.size != width * height:
-        raise RasterFormatError("value count mismatch: %d values for %dx%d"
-                                % (values.size, width, height))
-    return Raster(width, height, cell, ox, oy, nodata, values)
+    return _file_raster(width, height, cell, ox, oy, nodata, values)
+
+
+def _file_raster(*fields) -> Raster:
+    """The raster a file describes; a grid check it fails is a format
+    error of the file."""
+    try:
+        return Raster(*fields)
+    except InputError as exc:
+        raise RasterFormatError(str(exc)) from exc
 
 
 def _ascii_bytes(raster: Raster) -> bytes:
@@ -380,14 +375,9 @@ def _read_binary(path: str) -> Raster:
     if len(blob) < off:
         raise RasterFormatError("malformed header: truncated file")
     width, height, cell, ox, oy, nodata = _BINARY_HEADER.unpack(blob[4:off])
-    if cell <= 0:
-        raise RasterFormatError("non-positive cell size")
     values = np.frombuffer(blob, dtype="<f4", offset=off)
-    if values.size != width * height:
-        raise RasterFormatError("value count mismatch: %d values for %dx%d"
-                                % (values.size, width, height))
-    return Raster(int(width), int(height), cell, ox, oy, float(nodata),
-                  values)
+    return _file_raster(int(width), int(height), cell, ox, oy, float(nodata),
+                        values)
 
 
 def _binary_bytes(raster: Raster) -> bytes:
@@ -442,28 +432,16 @@ class LabelMap(NamedTuple):
     sizes: dict
 
 
-_STRUCT4 = ndimage.generate_binary_structure(2, 1)
-_STRUCT8 = ndimage.generate_binary_structure(2, 2)
-
-
 def connected_components(mask: BinaryMask, connectivity: int = 4) -> LabelMap:
-    """Label maximal connected flooded regions of a mask."""
+    """Label maximal connected flooded regions of a mask; ``ndimage.label``
+    numbers them in row-major order of their first cells."""
     if connectivity not in (4, 8):
         raise InputError("connectivity must be 4 or 8")
-    st = _STRUCT4 if connectivity == 4 else _STRUCT8
-    raw, n = ndimage.label(mask.values == FLOODED, structure=st)
-    if n == 0:
-        return LabelMap(raw.astype(np.int32), {})
-    flat = raw.ravel()
-    first = np.full(n + 1, flat.size, dtype=np.int64)
-    np.minimum.at(first, flat, np.arange(flat.size))
-    order = np.argsort(first[1:], kind="stable")
-    remap = np.zeros(n + 1, dtype=np.int32)
-    remap[1:][order] = np.arange(1, n + 1, dtype=np.int32)
-    labels = remap[raw]
+    labels, n = ndimage.label(
+        mask.values == FLOODED,
+        structure=None if connectivity == 4 else np.ones((3, 3), dtype=bool))
     counts = np.bincount(labels.ravel(), minlength=n + 1)
-    sizes = {lab: int(counts[lab]) for lab in range(1, n + 1)}
-    return LabelMap(labels, sizes)
+    return LabelMap(labels, {lab: int(counts[lab]) for lab in range(1, n + 1)})
 
 
 # ---------------------------------------------------------------------------

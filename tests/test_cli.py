@@ -171,6 +171,27 @@ def test_metrics_perfect_prediction(tmp_path, scene_dir, capsys):
     assert rows[0]["acc"] == "1" and rows[0]["f1"] == "1"
 
 
+def test_metrics_out_csv_is_replaced_atomically(tmp_path, scene_dir,
+                                                monkeypatch):
+    out_csv = tmp_path / "rows.csv"
+    argv = ["metrics", "--pred", str(scene_dir / "truth_mask.fbr"),
+            "--ref", str(scene_dir / "truth_mask.fbr"),
+            "--out-csv", str(out_csv)]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    lines = out_csv.read_bytes().split(b"\r\n")
+    assert lines[-1] == b"" and len(lines) == 4
+    assert lines[0].startswith(b"config_id,") and lines[1] == lines[2]
+    before = out_csv.read_bytes()
+
+    def fail(src, dst):
+        raise OSError(5, "I/O error")
+    monkeypatch.setattr(os, "replace", fail)
+    assert main(argv) == 2
+    assert out_csv.read_bytes() == before
+    assert not [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
+
+
 def test_metrics_depth_rmse_matches_library(tmp_path, scene_dir, smooth_valley,
                                             capsys):
     from floodbench.depth import DepthConfig, fwdet
@@ -270,6 +291,27 @@ def test_sweep_plan_rejects_depth_with_no_method_that_applies(
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "[depth]" in capsys.readouterr().err
+
+
+def test_sweep_plan_runs_only_the_external_masks_it_gives(tmp_path,
+                                                          scene_dir, capsys):
+    plan = tmp_path / "plan.cfg"
+    plan.write_text(
+        "[inputs]\n"
+        "flood = scene/speckled_intensity.fbr\n"
+        "external_mask_cnn = scene/truth_mask.fbr\n"
+        "[filters]\nmethods = none\n"
+        "[mappers]\nmethods = global_threshold,external_mask\n"
+        "[run]\nwrite_outputs = false\n")
+    code = main(["-v", "sweep", "--plan", str(plan), "--out-dir",
+                 str(tmp_path / "out")])
+    assert code == 0
+    captured = capsys.readouterr()
+    rows = read_manifest(captured.out.strip())
+    assert sorted(r["mapper_params"] for r in rows if
+                  r["mapper_method"] == "external_mask") == ["external(cnn)"]
+    assert len(rows) == 3 and all(r["status"] == "ok" for r in rows)
+    assert "status=no_external_mask label=rf" in captured.err
 
 
 @pytest.mark.parametrize("section,extra", [
